@@ -5,8 +5,10 @@ maximal clique C is tested with a knowledge-aware LBFS sweep, and each
 consistent clique contributes the number of admissible permutations of C
 (those avoiding a chain of forbidden prefixes read off the clique tree)
 times the product of recursive counts on the subproblems the sweep leaves
-behind.  Results are memoized by vertex set, permutation counts by endpoint
-set.  All arithmetic is exact.
+behind.  Subproblems are vertex masks over one host graph (see
+``graphs._masks``); results are memoized by that mask, looked up before the
+subproblem's graph is built, and permutation counts by endpoint set.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from dataclasses import dataclass
 from .graphs import (
     UndirectedGraph,
     _is_maximal_clique,
+    _iter_bits,
     _lbfs,
+    _masks,
     clique_tree,
     maximal_cliques,
 )
@@ -46,11 +50,11 @@ class PermutationCapError(RuntimeError):
 
 
 class MemoTable(dict):
-    """Counts keyed by induced-subgraph vertex set; writes never change."""
+    """Counts keyed by subproblem vertex mask; writes never change."""
 
     def __setitem__(self, key, value):
         if key in self and super().__getitem__(key) != value:
-            raise RuntimeError(f"memo value for {sorted(key)} would change")
+            raise RuntimeError(f"memo value for {key!r} would change")
         super().__setitem__(key, value)
 
 
@@ -121,11 +125,31 @@ def _pairs_of(knowledge) -> frozenset:
     return frozenset((int(u), int(v)) for u, v in knowledge)
 
 
-def _preds_map(pairs) -> dict:
-    preds: dict[int, list] = {}
-    for u, v in pairs:
-        preds.setdefault(v, []).append(u)
-    return preds
+class _Host:
+    """A host graph in bitmask form.
+
+    ``bit`` and ``nbr`` come from ``graphs._masks``; ``preds[i]`` is the mask
+    of sources of the claims into position i.  Subproblems are masks over
+    ``graph``; ``full`` is the whole graph.
+    """
+
+    __slots__ = ("graph", "bit", "nbr", "preds", "full")
+
+    def __init__(self, g: UndirectedGraph, pairs):
+        self.graph = g
+        self.bit, self.nbr = _masks(g)
+        self.full = (1 << g.n) - 1
+        self.preds = [0] * g.n
+        for u, v in pairs:
+            if u in self.bit and v in self.bit:
+                self.preds[self.bit[v].bit_length() - 1] |= self.bit[u]
+
+    def mask(self, vertices) -> int:
+        return sum(map(self.bit.__getitem__, vertices))
+
+    def vertices(self, mask: int) -> list:
+        vs = self.graph.vertices
+        return [vs[i] for i in _iter_bits(mask)]
 
 
 def _linear_extension_count(members: tuple, pairs) -> int:
@@ -274,8 +298,9 @@ def lbfs_background(g: UndirectedGraph, clique, knowledge) -> LbfsResult:
     for u, v in pairs:
         if u not in g.vertex_set or v not in g.vertex_set or not g.has_edge(u, v):
             raise ValueError(f"claim {u}->{v} is not an edge of the graph")
-    flag, comps, _ = _lbfs(g._adj, g.vertices, c, _preds_map(pairs), True)
-    return LbfsResult(bool(flag), tuple(comps))
+    host = _Host(g, pairs)
+    flag, comps, _ = _lbfs(host.nbr, host.full, host.mask(c), host.preds, True)
+    return LbfsResult(bool(flag), tuple(frozenset(host.vertices(h)) for h in comps))
 
 
 def forbidden_prefixes(tree, clique) -> PrefixChain:
@@ -341,7 +366,7 @@ class SessionResult:
 class CountingSession:
     """One counting run over a fixed host skeleton and claim set.
 
-    Holds the memo table over induced-subgraph vertex sets and the shared
+    Holds the memo table over subproblem vertex masks and the shared
     permutation caches; reusing a session (or its memo) with a different
     host graph or claim set is unsound.
     """
@@ -358,38 +383,47 @@ class CountingSession:
 
     def count_uccg(self, g: UndirectedGraph, *, root=None) -> int:
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 3000 + 3 * g.n))
-        return self._count(g, root)
+        host = _Host(g, self.pairs)
+        return self._count(host, host.full, root)
 
-    def _count(self, g: UndirectedGraph, root=None) -> int:
-        key = g.vertex_set
-        if key in self.memo:
+    def _count(self, host: _Host, sub: int, root=None) -> int:
+        val = self.memo.get(sub)
+        if val is not None:
             self.memo_hits += 1
-            return self.memo[key]
-        tree = clique_tree(g, root_clique=root)
+            return val
+        if sub == host.full:
+            g = host.graph
+        else:
+            g = host.graph.induced(host.vertices(sub))
+        # A proper subproblem is an induced subgraph of the host, and the
+        # host is chordal (validated, or checked by its own clique tree
+        # first), so only the host itself needs the chordality check.
+        tree = clique_tree(g, root_clique=root, known_chordal=sub != host.full)
+        key = g.vertex_set
         if len(tree.nodes) == 1:
             val = self.ctx.phi_empty(key)
-            self.memo[key] = val
+            self.memo[sub] = val
             return val
         pairs_g = [(u, v) for (u, v) in self.pairs if u in key and v in key]
-        preds = _preds_map(pairs_g)
         total = 0
         queue = deque([tree.root])
         while queue:
             ci = queue.popleft()
             queue.extend(tree.children(ci))
-            cset = frozenset(tree.nodes[ci])
+            clique = tree.nodes[ci]
             self.lbfs_calls += 1
-            flag, comps, _ = _lbfs(g._adj, g.vertices, cset, preds, True)
+            flag, comps, _ = _lbfs(host.nbr, sub, host.mask(clique), host.preds, True, True)
             if not flag:
                 continue
             prod = 1
             for h in comps:
-                prod *= self._count(g.induced(h))
-            chain = forbidden_prefixes(tree, tree.nodes[ci])
+                prod *= self._count(host, h)
+            cset = frozenset(clique)
+            chain = forbidden_prefixes(tree, clique)
             pairs_c = [(u, v) for (u, v) in pairs_g if u in cset and v in cset]
             self.phi_chain_evals += 1
             total += prod * _phi_with_ctx(self.ctx, cset, chain.sets, pairs_c)
-        self.memo[key] = total
+        self.memo[sub] = total
         return total
 
     def stats(self, components) -> SessionStats:
@@ -441,14 +475,17 @@ def count_session(instance: MecInstance, *, psi_cap: int | None = None) -> Sessi
         count = 0  # a claim reverses one of the graph's own directed edges
     else:
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 3000 + 3 * graph.n))
+        # One host over the whole undirected part keeps the masks of all
+        # components in one bit space, so they share the memo soundly.
+        host = _Host(graph.undirected_part(), session.pairs)
         count = 1
         for comp in chordal_components(graph):
             before = len(session.memo)
-            count *= session._count(comp)
+            count *= session._count(host, host.mask(comp.vertices))
             comp_stats.append(
                 ComponentStats(
                     vertices=comp.n,
-                    maximal_cliques=len(maximal_cliques(comp)),
+                    maximal_cliques=len(maximal_cliques(comp, known_chordal=True)),
                     distinct_subproblems=len(session.memo) - before,
                 )
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import UndirectedGraph, clique_tree, maximal_cliques
+from .graphs import UndirectedGraph, _iter_bits, clique_tree, maximal_cliques
 from .mec import BackgroundKnowledge
 
 
@@ -42,13 +42,6 @@ class GenConfig:
             raise ValueError("edge probability range must satisfy 0 < lo <= hi < 1")
         if self.k_target is not None and self.k_target < 2:
             raise ValueError("knowledge parameter must be at least 2")
-
-
-def _iter_bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def _connected(adj: list, n: int) -> bool:

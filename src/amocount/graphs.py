@@ -2,8 +2,10 @@
 
 Vertices are integers.  Graphs built through ``UndirectedGraph(n, edges)``
 use the dense range ``0..n-1``; induced subgraphs keep the labels of their
-host graph, so a sorted vertex set identifies an induced subproblem
-unambiguously.  The counting engine keys its memo table on exactly that.
+host graph.  The LBFS and maximum-cardinality-search cores work on bitmasks
+over the positions of a graph's sorted vertex tuple, so a mask over a host
+graph identifies an induced subproblem unambiguously; the counting engine
+keys its memo table on exactly that.
 """
 
 from __future__ import annotations
@@ -122,116 +124,98 @@ def connected_components(g: UndirectedGraph) -> list[frozenset]:
     return comps
 
 
-def _components_within(adj, subset) -> list[frozenset]:
-    # Connected components of the subgraph induced on `subset`, given host
-    # adjacency.  Ordered by smallest contained vertex.
-    left = set(subset)
+def _iter_bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def _masks(g: UndirectedGraph) -> tuple[dict, list]:
+    """Bit of each vertex and neighbour mask of each position.
+
+    A vertex's bit is its position in the sorted vertex tuple, not its
+    label, so any integer labels work; sorted positions keep "lowest vertex
+    id" and "lowest bit" the same thing.
+    """
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    adj = g._adj
+    return bit, [sum(map(bit.__getitem__, adj[v])) for v in g.vertices]
+
+
+def _mask_components(nbr, mask) -> list[int]:
+    """Connected components inside ``mask``, ordered by lowest position."""
     comps = []
-    for start in sorted(subset):
-        if start not in left:
-            continue
-        comp = {start}
-        left.discard(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v] & left:
-                left.discard(u)
-                comp.add(u)
-                queue.append(u)
-        comps.append(frozenset(comp))
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            for u in _iter_bits(frontier):
+                reach |= nbr[u]
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        mask ^= comp
     return comps
 
 
-def _lbfs(adj, vertices, clique, preds, collect_components):
-    """Lexicographic BFS by partition refinement.
+def _lbfs(nbr, sub, seed, preds, collect_components, stop_on_reject=False):
+    """Lexicographic BFS by partition refinement over bitmasks.
 
-    ``clique`` seeds the first cell of the refinement sequence (may be
-    empty).  ``preds`` maps a vertex v to the sources u of direction claims
-    u -> v; whenever some claim's source is still outside every recorded
-    front set when its target is picked, the consistency flag drops to
-    False.  Ties are always broken toward the lowest vertex id.
+    Vertices are positions: ``nbr[v]`` is the neighbour mask of position v,
+    and the sweep visits the vertices of the mask ``sub``.  Cells are masks;
+    a split keeps ``cell & nbr[v]`` in front of the rest.  ``seed`` (a mask,
+    may be 0) is the first cell.  ``preds[v]`` is the mask of sources u of
+    direction claims u -> v (``preds`` may be None); sources outside ``sub``
+    are ignored.  Whenever some claim's source is still outside every
+    recorded front set when its target is picked, the consistency flag drops
+    to False, and with ``stop_on_reject`` the sweep ends there.  Ties go to
+    the lowest position.
 
-    Returns ``(flag, components, order)`` where ``components`` are the
-    connected components of the recorded front sets (only filled in when
-    ``collect_components`` is set).
+    Returns ``(flag, components, order)``: ``components`` are the connected
+    components of the recorded front sets as masks (only filled in when
+    ``collect_components`` is set), ``order`` the visited positions.
     """
-    HEAD, TAIL = -1, -2
-    cells: dict[int, set] = {}
-    nxt = {HEAD: TAIL}
-    prv = {TAIL: HEAD}
-    cell_of: dict[int, int] = {}
-    counter = 0
-
-    def insert_before(ref, members):
-        nonlocal counter
-        cid = counter
-        counter += 1
-        cells[cid] = members
-        p = prv[ref]
-        nxt[p] = cid
-        prv[cid] = p
-        nxt[cid] = ref
-        prv[ref] = cid
-        for u in members:
-            cell_of[u] = cid
-        return cid
-
-    def drop(cid):
-        p, q = prv[cid], nxt[cid]
-        nxt[p] = q
-        prv[q] = p
-        del cells[cid], prv[cid], nxt[cid]
-
-    clique = frozenset(clique)
-    if clique:
-        insert_before(TAIL, set(clique))
-        rest = set(vertices) - clique
-        if rest:
-            insert_before(TAIL, rest)
-    else:
-        insert_before(TAIL, set(vertices))
-
-    remaining = set(vertices)
-    marked = set(clique)  # vertices inside the seed clique or a recorded front
+    cells = [c for c in (sub & ~seed, seed) if c]  # the front cell is last
+    remaining = sub
+    marked = seed  # vertices inside the seed clique or a recorded front
     order = []
-    comps: list[frozenset] = []
+    comps = []
     flag = True
-
-    while True:
-        first = nxt[HEAD]
-        while first != TAIL and not cells[first]:
-            empty = first
-            first = nxt[first]
-            drop(empty)
-        if first == TAIL:
-            break
-        cell = cells[first]
-        v = min(cell)
-        if v not in marked:
-            snapshot = frozenset(cell)
-            marked |= snapshot
+    while cells:
+        cell = cells[-1]
+        low = cell & -cell
+        v = low.bit_length() - 1
+        if not marked & low:
+            marked |= cell
             if collect_components:
-                comps.extend(_components_within(adj, snapshot))
+                if cell == low:  # a lone vertex is its own component
+                    comps.append(low)
+                else:
+                    comps.extend(_mask_components(nbr, cell))
         order.append(v)
-        if preds:
-            for u in preds.get(v, ()):
-                if u not in marked:
-                    flag = False
-        cell.discard(v)
-        remaining.discard(v)
-        nbrs = adj[v] & remaining
-        if nbrs:
-            touched: dict[int, list] = {}
-            for u in nbrs:
-                touched.setdefault(cell_of[u], []).append(u)
-            for cid, members in touched.items():
-                target = cells[cid]
-                if len(members) == len(target):
-                    continue  # whole cell is neighbors; nothing splits off
-                mset = set(members)
-                target -= mset
-                insert_before(cid, mset)
+        if preds is not None and preds[v] & sub & ~marked:
+            flag = False
+            if stop_on_reject:
+                break
+        remaining ^= low
+        cell ^= low
+        if cell:
+            cells[-1] = cell
+        else:
+            cells.pop()
+        split = nbr[v] & remaining
+        i = len(cells) - 1
+        while split:
+            cell = cells[i]
+            inside = cell & split
+            if inside:
+                split ^= inside
+                if inside != cell:
+                    cells[i] = cell ^ inside
+                    cells.insert(i + 1, inside)
+            i -= 1
     return flag, comps, order
 
 
@@ -239,68 +223,87 @@ def lbfs_order(g: UndirectedGraph) -> list:
     """Lexicographic BFS ordering, lowest vertex id on ties."""
     if g.n == 0:
         raise ValueError("graph is empty")
-    _, _, order = _lbfs(g._adj, g.vertices, frozenset(), None, False)
-    return order
+    _, nbr = _masks(g)
+    _, _, order = _lbfs(nbr, (1 << g.n) - 1, 0, None, False)
+    return [g.vertices[i] for i in order]
 
 
 def is_chordal(g: UndirectedGraph) -> bool:
     """Chordality via the reversed LBFS order.
 
     The reverse of an LBFS order of a chordal graph is a perfect elimination
-    ordering; the standard single-witness check (each vertex's earliest later
-    neighbor must dominate the rest) verifies it in linear time.
+    ordering; the standard single-witness check (each vertex's latest earlier
+    neighbor in the LBFS order must be adjacent to the other earlier
+    neighbors) verifies it in linear time.
     """
     if g.n <= 2:
         return True
-    peo = lbfs_order(g)[::-1]
-    pos = {v: i for i, v in enumerate(peo)}
-    for v in peo:
-        later = [u for u in g.neighbors(v) if pos[u] > pos[v]]
-        if len(later) <= 1:
-            continue
-        w = min(later, key=pos.__getitem__)
-        rest = set(later)
-        rest.discard(w)
-        if not rest <= g.neighbors(w):
-            return False
+    _, nbr = _masks(g)
+    _, _, order = _lbfs(nbr, (1 << g.n) - 1, 0, None, False)
+    index = [0] * g.n
+    for i, v in enumerate(order):
+        index[v] = i
+    seen = 0
+    for v in order:
+        earlier = nbr[v] & seen
+        if earlier:
+            w = max(_iter_bits(earlier), key=index.__getitem__)
+            if earlier & ~nbr[w] & ~(1 << w):
+                return False
+        seen |= 1 << v
     return True
 
 
-def maximal_cliques(g: UndirectedGraph) -> list[tuple[int, ...]]:
+def maximal_cliques(g: UndirectedGraph, *, known_chordal: bool = False) -> list[tuple[int, ...]]:
     """All maximal cliques of a chordal graph, sorted lexicographically.
 
-    Runs maximum cardinality search; a clique closes whenever the weight of
-    the picked vertex fails to grow.  Rejects non-chordal input.
+    Runs maximum cardinality search with weight buckets (masks of the
+    unnumbered vertices of each weight, so the lowest id on ties is the
+    lowest bit); a clique closes whenever the weight of the picked vertex
+    fails to grow.  Rejects non-chordal input unless the caller vouches for
+    it with ``known_chordal`` (induced subgraphs of a chordal graph).
     """
     if g.n == 0:
         return []
-    if not is_chordal(g):
+    if not known_chordal and not is_chordal(g):
         raise ValueError("graph is not chordal")
-    weights = {v: 0 for v in g.vertices}
-    unnumbered = set(g.vertices)
-    numbered: set = set()
-    cliques: list[set] = []
-    current: set | None = None
+    _, nbr = _masks(g)
+    n = g.n
+    buckets = [0] * (n + 1)
+    buckets[0] = (1 << n) - 1
+    best = 0
+    numbered = 0
+    cliques = []
+    current = 0
     prev_card = -1
-    for _ in range(g.n):
-        best_w = max(weights[v] for v in unnumbered)
-        v = min(u for u in unnumbered if weights[u] == best_w)
-        card = weights[v]
-        if current is None:
-            current = {v}
-        elif card <= prev_card:
+    for _ in range(n):
+        while not buckets[best]:
+            best -= 1
+        low = buckets[best] & -buckets[best]
+        v = low.bit_length() - 1
+        if best <= prev_card:
             cliques.append(current)
-            current = {v} | (g.neighbors(v) & numbered)
+            current = low | (nbr[v] & numbered)
         else:
-            current.add(v)
-        prev_card = card
-        unnumbered.discard(v)
-        numbered.add(v)
-        for u in g.neighbors(v):
-            if u in unnumbered:
-                weights[u] += 1
+            current |= low
+        prev_card = best
+        buckets[best] ^= low
+        numbered |= low
+        # Each unnumbered neighbour moves up one bucket.  Going down from
+        # the top bucket moves every vertex once; none is heavier than v.
+        rest = nbr[v] & ~numbered
+        w = best
+        while rest:
+            moving = buckets[w] & rest
+            if moving:
+                rest ^= moving
+                buckets[w] ^= moving
+                buckets[w + 1] |= moving
+            w -= 1
+        best += 1
     cliques.append(current)
-    return sorted(tuple(sorted(c)) for c in cliques)
+    vs = g.vertices
+    return sorted(tuple(vs[i] for i in _iter_bits(c)) for c in cliques)
 
 
 def _is_maximal_clique(g: UndirectedGraph, members: frozenset) -> bool:
@@ -349,7 +352,7 @@ class RootedCliqueTree:
         return path
 
 
-def clique_tree(g: UndirectedGraph, root_clique=None) -> RootedCliqueTree:
+def clique_tree(g: UndirectedGraph, root_clique=None, *, known_chordal: bool = False) -> RootedCliqueTree:
     """Rooted clique tree of a connected chordal graph.
 
     The tree is a maximum-weight spanning tree of the clique intersection
@@ -357,12 +360,13 @@ def clique_tree(g: UndirectedGraph, root_clique=None) -> RootedCliqueTree:
     pair.  Unless ``root_clique`` forces a choice, the root is the maximal
     clique containing the lowest vertex (again the lexicographically
     smallest such clique on ties), making the construction deterministic.
+    ``known_chordal`` skips the chordality check, as in ``maximal_cliques``.
     """
     if g.n == 0:
         raise ValueError("graph is empty")
     if len(connected_components(g)) != 1:
         raise ValueError("clique tree requires a connected graph")
-    cliques = maximal_cliques(g)
+    cliques = maximal_cliques(g, known_chordal=known_chordal)
     m = len(cliques)
     csets = [frozenset(c) for c in cliques]
     adj_tree: list[list[int]] = [[] for _ in range(m)]

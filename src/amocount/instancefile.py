@@ -40,19 +40,20 @@ def _expect(cond, msg):
 def _label_pairs(raw, key, label_ids, *, ordered):
     pairs = []
     _expect(isinstance(raw, list), f"'{key}' must be an array")
+    # Messages are formatted only on failure: this loop runs once per edge.
     for i, item in enumerate(raw):
-        where = f"{key}[{i}]"
-        _expect(
-            isinstance(item, list) and len(item) == 2,
-            f"{where} must be a pair of labels",
-        )
+        if not (isinstance(item, list) and len(item) == 2):
+            raise InstanceFormatError(f"{key}[{i}] must be a pair of labels")
         a, b = item
         for lab in (a, b):
-            _expect(isinstance(lab, str), f"{where} must contain string labels")
-            _expect(lab in label_ids, f"{where} references unknown label '{lab}'")
-        _expect(a != b, f"{where} is a self-loop")
+            if not isinstance(lab, str):
+                raise InstanceFormatError(f"{key}[{i}] must contain string labels")
+            if lab not in label_ids:
+                raise InstanceFormatError(f"{key}[{i}] references unknown label '{lab}'")
+        if a == b:
+            raise InstanceFormatError(f"{key}[{i}] is a self-loop")
         u, v = label_ids[a], label_ids[b]
-        pairs.append((u, v) if ordered else (min(u, v), max(u, v)))
+        pairs.append((u, v) if ordered or u < v else (v, u))
     return pairs
 
 

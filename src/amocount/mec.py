@@ -82,7 +82,7 @@ class PartiallyDirectedGraph:
     exactly one direction.
     """
 
-    __slots__ = ("n", "undirected", "directed", "_skeleton_adj")
+    __slots__ = ("n", "undirected", "directed", "_skeleton_adj", "_undirected_part")
 
     def __init__(self, n: int, undirected=(), directed=()):
         if n < 0:
@@ -104,6 +104,7 @@ class PartiallyDirectedGraph:
         self.undirected = frozenset(und)
         self.directed = frozenset(dire)
         self._skeleton_adj = None
+        self._undirected_part = None
 
     @staticmethod
     def _check_pair(n, u, v):
@@ -128,7 +129,9 @@ class PartiallyDirectedGraph:
         return self._skeleton_adj
 
     def undirected_part(self) -> UndirectedGraph:
-        return UndirectedGraph(self.n, self.undirected)
+        if self._undirected_part is None:
+            self._undirected_part = UndirectedGraph(self.n, self.undirected)
+        return self._undirected_part
 
     @property
     def is_fully_directed(self) -> bool:

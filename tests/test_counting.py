@@ -17,8 +17,9 @@ from amocount.counting import (
     lbfs_background,
     phi,
     psi,
+    _Host,
 )
-from amocount.graphs import UndirectedGraph, clique_tree, maximal_cliques
+from amocount.graphs import UndirectedGraph, _lbfs, clique_tree, maximal_cliques
 from amocount.mec import BackgroundKnowledge, MecInstance
 from amocount.oracle import (
     amos_represented_by,
@@ -218,6 +219,22 @@ class TestLbfsBackground:
             assert comp_union == left
 
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_early_exit_is_a_prefix_of_the_full_sweep(self, seed):
+        g = random_uccg(seed, 3, 9)
+        k = random_claims(g, random.Random(90_000 + seed), "oriented")
+        host = _Host(g, k.pairs)
+        for c in maximal_cliques(g):
+            seed_mask = host.mask(c)
+            full = _lbfs(host.nbr, host.full, seed_mask, host.preds, True)
+            early = _lbfs(host.nbr, host.full, seed_mask, host.preds, True, True)
+            assert early[0] == full[0] == lbfs_background(g, c, k).flag
+            assert early[1] == full[1][: len(early[1])]
+            assert early[2] == full[2][: len(early[2])]
+            if early[0]:
+                assert early == full
+
+
 class TestForbiddenPrefixes:
     def test_seven_vertex_tree(self):
         t = clique_tree(SEVEN)
@@ -263,7 +280,20 @@ class TestCountUccg:
         k = BackgroundKnowledge([(2, 5)])
         first = count_uccg(SEVEN, k, memo)
         assert count_uccg(SEVEN, k, memo) == first
-        assert frozenset(SEVEN.vertices) in memo
+        # keys are vertex masks over the host's sorted vertex tuple
+        assert memo[(1 << SEVEN.n) - 1] == first
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_labels_need_not_be_dense(self, seed):
+        g = random_uccg(seed, 3, 9)
+        rng = random.Random(95_000 + seed)
+        k = random_claims(g, rng, "oriented")
+        labels = [-5, 3, 10**6, -(2**40), 7, 2**70, 11, -1, 123_456_789][: g.n]
+        rng.shuffle(labels)
+        relabel = dict(zip(g.vertices, labels))
+        h = UndirectedGraph.from_vertices(labels, [(relabel[u], relabel[v]) for u, v in g.edges()])
+        kh = BackgroundKnowledge((relabel[u], relabel[v]) for u, v in k)
+        assert count_uccg(h, kh) == count_uccg(g, k)
 
     @pytest.mark.parametrize("seed", range(80))
     def test_matches_oracle(self, seed):

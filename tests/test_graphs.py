@@ -14,6 +14,7 @@ from amocount.graphs import (
     lbfs_order,
     maximal_cliques,
 )
+from amocount.oracle import _is_lbfs_ordering
 from conftest import random_uccg
 
 # the two running examples: a triangle with a pendant edge, and a
@@ -146,6 +147,24 @@ class TestLbfs:
     def test_tie_break_is_lowest_id(self):
         g = UndirectedGraph(4, [(0, 1), (0, 2), (0, 3)])
         assert lbfs_order(g)[0] == 0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_order_is_an_lbfs_ordering(self, seed):
+        g = random_uccg(seed, 1, 12)
+        assert _is_lbfs_ordering(g, lbfs_order(g))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sparse_labels_keep_order_and_cliques(self, seed):
+        """Bits are sorted positions, so an order-preserving relabelling to
+        negative, sparse or huge labels maps orders and cliques across."""
+        g = random_uccg(seed, 1, 12)
+        rng = random.Random(seed)
+        labels = sorted({rng.randrange(-(10**6), 2**70) for _ in range(g.n)})
+        assert len(labels) == g.n
+        relabel = dict(zip(g.vertices, labels))
+        h = UndirectedGraph.from_vertices(labels, [(relabel[u], relabel[v]) for u, v in g.edges()])
+        assert lbfs_order(h) == [relabel[v] for v in lbfs_order(g)]
+        assert maximal_cliques(h) == [tuple(relabel[v] for v in c) for c in maximal_cliques(g)]
 
 
 class TestChordality:

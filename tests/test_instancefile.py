@@ -82,6 +82,20 @@ class TestParse:
             parse_instance_text(text(**mutation))
         assert needle in str(e.value)
 
+    @pytest.mark.parametrize(
+        "mutation,message",
+        [
+            ({"undirected_edges": [["a", "b"], ["a"]]}, "undirected_edges[1] must be a pair of labels"),
+            ({"directed_edges": [["a", 3]]}, "directed_edges[0] must contain string labels"),
+            ({"undirected_edges": [["a", "z"]]}, "undirected_edges[0] references unknown label 'z'"),
+            ({"knowledge": [["c", "c"]]}, "knowledge[0] is a self-loop"),
+        ],
+    )
+    def test_edge_messages_are_exact(self, mutation, message):
+        with pytest.raises(InstanceFormatError) as e:
+            parse_instance_text(text(**mutation))
+        assert str(e.value) == message
+
     def test_edge_in_both_parts_is_rejected(self):
         with pytest.raises(InstanceFormatError):
             parse_instance_text(text(directed_edges=[["a", "b"]]))
