@@ -22,9 +22,9 @@ from .graphs import (
     _is_maximal_clique,
     _iter_bits,
     _lbfs,
+    _mask_components,
     _masks,
     clique_tree,
-    maximal_cliques,
 )
 from .mec import (
     BackgroundKnowledge,
@@ -68,12 +68,20 @@ class FactorialTable:
         if i < 0:
             raise ValueError("factorial of a negative number")
         vals = self._vals
-        while len(vals) <= i:
-            vals.append(vals[-1] * len(vals))
+        if len(vals) <= i:
+            # Grow a copy and publish it whole: one table serves every
+            # session, so a reader must never see a half-grown list.
+            vals = list(vals)
+            while len(vals) <= i:
+                vals.append(vals[-1] * len(vals))
+            self._vals = vals
         return vals[i]
 
     def __len__(self):
         return len(self._vals)
+
+
+_FACT = FactorialTable()  # shared by every permutation count
 
 
 @dataclass(frozen=True)
@@ -155,31 +163,43 @@ class _Host:
 def _linear_extension_count(members: tuple, pairs) -> int:
     """Permutations of ``members`` placing u before v for every claim u->v.
 
-    Subset dynamic program over prefixes; a vertex may extend a prefix once
-    all of its claim sources are inside it.
+    The weakly connected parts of the claim graph order independently, so
+    the count is m! / (m_1! ... m_r!), the interleavings of the parts, times
+    each part's own count.  Inside a part a layered dynamic program walks the
+    reachable down-sets, prefixes holding every claim source of each of their
+    members: layer t maps each down-set of size t to the number of orders
+    that build it, and only the current layer is kept.  A claim cycle leaves
+    its part without a down-set of full size, so the count is 0.
     """
     m = len(members)
-    if m == 0:
-        return 1
     idx = {v: i for i, v in enumerate(members)}
     pred = [0] * m
+    link = [0] * m
     for u, v in pairs:
-        pred[idx[v]] |= 1 << idx[u]
-    size = 1 << m
-    f = [0] * size
-    f[0] = 1
-    for mask in range(size):
-        fm = f[mask]
-        if not fm:
-            continue
-        for i in range(m):
-            b = 1 << i
-            if mask & b:
-                continue
-            if pred[i] & ~mask:
-                continue
-            f[mask | b] += fm
-    return f[size - 1]
+        a, b = idx[u], idx[v]
+        pred[b] |= 1 << a
+        link[a] |= 1 << b
+        link[b] |= 1 << a
+    interleavings = _FACT[m]
+    product = 1
+    for part in _mask_components(link, (1 << m) - 1):
+        steps = [(1 << i, pred[i]) for i in _iter_bits(part)]
+        layer = {0: 1}
+        for _ in steps:
+            grown = {}
+            get = grown.get
+            for done, ways in layer.items():
+                rest = ~done
+                for b, p in steps:
+                    if b & rest and not p & rest:
+                        key = done | b
+                        grown[key] = get(key, 0) + ways
+            if not grown:
+                return 0
+            layer = grown
+        interleavings //= _FACT[len(steps)]
+        product *= layer[part]
+    return interleavings * product
 
 
 def psi(vertex_set, knowledge, *, cap: int = DEFAULT_PERMUTATION_CAP) -> int:
@@ -202,12 +222,11 @@ class _PermCounter:
     can be vertex sets alone.
     """
 
-    __slots__ = ("pairs", "cap", "fact", "_phi0", "_psi", "psi_evals", "phi0_evals")
+    __slots__ = ("pairs", "cap", "_phi0", "_psi", "psi_evals", "phi0_evals")
 
-    def __init__(self, pairs: frozenset, cap: int, fact: FactorialTable | None = None):
+    def __init__(self, pairs: frozenset, cap: int):
         self.pairs = pairs
         self.cap = cap
-        self.fact = fact if fact is not None else FactorialTable()
         self._phi0 = {}
         self._psi = {}
         self.psi_evals = 0
@@ -234,7 +253,7 @@ class _PermCounter:
                 vk.add(u)
                 vk.add(v)
             vk = frozenset(vk)
-            val = self.fact[len(x)] // self.fact[len(vk)] * self.psi_value(vk, pairs_x)
+            val = _FACT[len(x)] // _FACT[len(vk)] * self.psi_value(vk, pairs_x)
             self._phi0[x] = val
         return val
 
@@ -377,6 +396,7 @@ class CountingSession:
         self.pairs = pairs
         self.ctx = _PermCounter(pairs, cap)
         self.memo = MemoTable() if memo is None else memo
+        self.tree_sizes = {}  # maximal cliques of each subproblem counted here
         self.lbfs_calls = 0
         self.phi_chain_evals = 0
         self.memo_hits = 0
@@ -399,6 +419,7 @@ class CountingSession:
         # host is chordal (validated, or checked by its own clique tree
         # first), so only the host itself needs the chordality check.
         tree = clique_tree(g, root_clique=root, known_chordal=sub != host.full)
+        self.tree_sizes[sub] = len(tree.nodes)
         key = g.vertex_set
         if len(tree.nodes) == 1:
             val = self.ctx.phi_empty(key)
@@ -481,11 +502,12 @@ def count_session(instance: MecInstance, *, psi_cap: int | None = None) -> Sessi
         count = 1
         for comp in chordal_components(graph):
             before = len(session.memo)
-            count *= session._count(host, host.mask(comp.vertices))
+            sub = host.mask(comp.vertices)
+            count *= session._count(host, sub)
             comp_stats.append(
                 ComponentStats(
                     vertices=comp.n,
-                    maximal_cliques=len(maximal_cliques(comp, known_chordal=True)),
+                    maximal_cliques=session.tree_sizes[sub],
                     distinct_subproblems=len(session.memo) - before,
                 )
             )

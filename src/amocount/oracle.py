@@ -231,7 +231,7 @@ def union_graph(orientations) -> PartiallyDirectedGraph:
 
 
 def psi_bruteforce(vertex_set, knowledge) -> int:
-    """Filter all permutations; test oracle for the subset dynamic program."""
+    """Filter all permutations; test oracle for the linear-extension count."""
     members = sorted(frozenset(vertex_set))
     pairs = _pairs_of(knowledge)
     count = 0

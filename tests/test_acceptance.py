@@ -1,11 +1,14 @@
-"""Release gate: ten end-to-end checks with pinned tolerances.
+"""Release gate: eleven end-to-end checks with pinned tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one summary line
 per check.  Every expected number here was produced by the brute-force
 oracle or is a closed-form quantity; tolerances (time budgets, the slope
-bound, the growth ratios) are fixed in this file and nowhere else.
+bound, the growth ratios) are fixed in this file and nowhere else.  Above
+the oracle's reach, counts are checked against identities that hold at any
+size.
 """
 
+import itertools
 import math
 import random
 import statistics
@@ -21,7 +24,7 @@ from amocount.counting import (
     psi,
 )
 from amocount.generators import GenConfig, gen_background, grow_background, random_chordal
-from amocount.graphs import UndirectedGraph, maximal_cliques
+from amocount.graphs import UndirectedGraph, lbfs_order, maximal_cliques
 from amocount.mec import (
     BackgroundKnowledge,
     MecInstance,
@@ -274,3 +277,88 @@ def test_distinct_subproblems_stay_under_twice_the_cliques():
             assert comp.distinct_subproblems <= 2 * comp.maximal_cliques - 1
         checked += 1
     report("recursion bound", f"{checked} instances, all within 2*cliques - 1")
+
+
+def two_clique_claims(seed):
+    """Two 20-24-vertex cliques sharing a 3-5-vertex separator, with 18
+    claim-touched vertices per clique (three of them in the separator).
+
+    The touched vertices of each clique fall into star-shaped claim parts of
+    3-7 vertices, each hub being the part's earliest vertex in one LBFS
+    order.  Every claim follows that order, so the orientation along it is a
+    witness and the count is positive.  Returns the graph, its two cliques,
+    the claims and a function orienting an edge along the order.
+    """
+    rng = random.Random(580_000 + seed)
+    a, b, s = rng.randint(20, 24), rng.randint(20, 24), rng.randint(3, 5)
+    ids = list(range(a + b - s))
+    rng.shuffle(ids)
+    cliques = (ids[:a], ids[a - s :])
+    sep = ids[a - s : a]
+    g = UndirectedGraph(
+        len(ids), {e for c in cliques for e in itertools.combinations(sorted(c), 2)}
+    )
+    pos = {v: i for i, v in enumerate(lbfs_order(g))}
+
+    def along(u, v):
+        return (u, v) if pos[u] < pos[v] else (v, u)
+
+    shared = rng.sample(sep, 3)
+    claims = set()
+    for c in cliques:
+        touched = shared + rng.sample([v for v in c if v not in sep], 15)
+        rng.shuffle(touched)
+        while touched:
+            size = rng.randint(3, 7)
+            if len(touched) - size < 3:
+                size = len(touched)
+            part, touched = touched[:size], touched[size:]
+            hub = min(part, key=pos.__getitem__)
+            claims |= {(hub, v) for v in part if v != hub}
+    return g, cliques, claims, along
+
+
+def test_psi_heavy_counts_obey_edge_split_and_monotonicity():
+    """count(K) = count(K + u->v) + count(K + v->u) for an undirected u-v
+    outside K, and adding a claim never raises the count, on 37-45-vertex
+    instances whose cliques each carry 18 claim-touched vertices."""
+    splits = grown = 0
+    for seed in range(6):
+        g, cliques, claims, along = two_clique_claims(seed)
+        graph = PartiallyDirectedGraph(g.n, g.edges(), ())
+
+        def count(k):
+            return count_session(MecInstance(graph, BackgroundKnowledge(k))).count
+
+        base = count(claims)
+        assert base > 0, seed
+        assert max_clique_knowledge(MecInstance(graph, BackgroundKnowledge(claims))) == 18
+        rng = random.Random(seed)
+        claimed = {frozenset(p) for p in claims}
+        touched = {v for p in claims for v in p}
+        for c in cliques:
+            free = [
+                (u, v)
+                for u, v in itertools.combinations(c, 2)
+                if frozenset((u, v)) not in claimed
+            ]
+            # both ends touched; one end touched; neither (at most 20 touched)
+            for ends in (2, 1, 0):
+                u, v = rng.choice([e for e in free if len(touched & set(e)) == ends])
+                assert base == count(claims | {(u, v)}) + count(claims | {(v, u)}), seed
+                splits += 1
+        cur, prev = set(claims), base
+        for u, v in rng.sample(
+            [(u, v) for u, v in itertools.combinations(cliques[0], 2)
+             if u in touched and v in touched and frozenset((u, v)) not in claimed],
+            4,
+        ):
+            cur.add(along(u, v))
+            now = count(cur)
+            assert 0 < now <= prev, seed
+            prev = now
+            grown += 1
+    report(
+        "identities at scale",
+        f"{splits} edge splits and {grown} grown claims on 6 two-clique instances",
+    )

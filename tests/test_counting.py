@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -51,6 +53,32 @@ class TestTables:
         assert f[10] == math.factorial(10)
         with pytest.raises(ValueError):
             f[-1]
+
+    def test_factorials_grow_safely_across_threads(self):
+        # one table serves every session; growing it must never publish a
+        # wrong entry to a reader in another thread
+        f = FactorialTable()
+        wrong = []
+
+        def read(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                i = rng.randrange(400)
+                if f[i] != math.factorial(i):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read, args=(s,)) for s in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert not wrong
 
     def test_memo_is_write_once(self):
         m = MemoTable()
@@ -119,6 +147,69 @@ class TestPsi:
                     pairs.add((u, v))
         k = BackgroundKnowledge(pairs)
         assert psi(members, k) == psi_bruteforce(members, k)
+
+
+def disjoint_chains(lengths):
+    """Claims v -> v+1 along consecutive runs of the given lengths from 0."""
+    pairs, v = [], 0
+    for length in lengths:
+        pairs += [(v + i, v + i + 1) for i in range(length - 1)]
+        v += length
+    return pairs
+
+
+class TestPsiSplit:
+    """``psi`` counts each claim-graph component on its own and interleaves
+    the parts by a multinomial."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_multi_component_dags_match_enumeration(self, seed):
+        rng = random.Random(90_000 + seed)
+        m = rng.randint(4, 8)
+        parts = rng.randint(2, min(4, m // 2))
+        members = rng.sample(range(20), m)
+        # every part gets at least two vertices and a spanning set of claims
+        cuts = sorted(rng.sample(range(1, m // 2), parts - 1))
+        sizes = [2 * (b - a) for a, b in zip([0] + cuts, cuts + [m // 2])]
+        sizes[-1] += m % 2
+        pairs, v = set(), 0
+        for size in sizes:
+            part = members[v : v + size]
+            v += size
+            for i in range(1, size):
+                pairs.add((part[rng.randrange(i)], part[i]))
+            for i in range(size):
+                for j in range(i + 1, size):
+                    if rng.random() < 0.3:
+                        pairs.add((part[i], part[j]))
+        k = BackgroundKnowledge(pairs)
+        assert psi(frozenset(members), k) == psi_bruteforce(members, k) > 0
+
+    @pytest.mark.parametrize("where", range(3))
+    def test_a_cycle_in_one_component_zeroes_the_count(self, where):
+        parts = [[(0, 1), (1, 2)], [(3, 4), (3, 5)], [(6, 7), (7, 8)]]
+        parts[where] = [(3 * where, 3 * where + 1), (3 * where + 1, 3 * where + 2),
+                        (3 * where + 2, 3 * where)]
+        k = BackgroundKnowledge(p for part in parts for p in part)
+        assert psi(frozenset(range(9)), k) == 0 == psi_bruteforce(range(9), k)
+
+    @pytest.mark.parametrize("lengths", [[40], [3, 5, 7, 11, 14], [2] * 20, [1, 9, 30], [13, 13, 14]])
+    def test_disjoint_chains_give_the_multinomial(self, lengths):
+        assert sum(lengths) == 40
+        k = BackgroundKnowledge(disjoint_chains(lengths))
+        expected = math.factorial(40)
+        for length in lengths:
+            expected //= math.factorial(length)
+        assert psi(frozenset(range(40)), k, cap=40) == expected
+
+    def test_cap_counts_every_touched_vertex_not_each_component(self):
+        k = BackgroundKnowledge(disjoint_chains([3] * 7))
+        with pytest.raises(PermutationCapError) as e:
+            psi(frozenset(range(21)), k)
+        assert (e.value.size, e.value.cap) == (21, DEFAULT_PERMUTATION_CAP)
+        with pytest.raises(PermutationCapError) as e:
+            count_session(uccg_instance(complete(21), k))
+        assert (e.value.size, e.value.cap) == (21, DEFAULT_PERMUTATION_CAP)
 
 
 class TestPhi:
