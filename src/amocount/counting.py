@@ -6,15 +6,15 @@ consistent clique contributes the number of admissible permutations of C
 (those avoiding a chain of forbidden prefixes read off the clique tree)
 times the product of recursive counts on the subproblems the sweep leaves
 behind.  Subproblems are vertex masks over one host graph (see
-``graphs._masks``); results are memoized by that mask, looked up before the
-subproblem's graph is built, and permutation counts by endpoint set.  All
-arithmetic is exact.
+``graphs._masks``) and no subproblem graph is ever built: one maximum
+cardinality search over the host's masks gives a subproblem's cliques and
+clique tree.  Results are memoized by that mask, and permutation counts by
+endpoint set.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 from .graphs import (
@@ -24,15 +24,10 @@ from .graphs import (
     _lbfs,
     _mask_components,
     _masks,
+    _mcs_cliques,
     clique_tree,
 )
-from .mec import (
-    BackgroundKnowledge,
-    InvalidInstanceError,
-    MecInstance,
-    chordal_components,
-    validate,
-)
+from .mec import BackgroundKnowledge, InvalidInstanceError, MecInstance, validate
 
 DEFAULT_PERMUTATION_CAP = 20
 
@@ -348,6 +343,43 @@ def forbidden_prefixes(tree, clique) -> PrefixChain:
     return PrefixChain(ordered)
 
 
+def _reroot(parents: list, root: int) -> list:
+    """Re-root a clique tree at clique ``root``, in place.
+
+    ``parents`` lists each clique's parent (None at the root), parents before
+    their children.  The links on the path from ``root`` to the old root are
+    reversed; the returned order again puts every parent before its
+    children: that path first, then the other cliques in their old order.
+    """
+    path = [root]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    for child, old_parent in zip(path, path[1:]):
+        parents[old_parent] = child
+    parents[root] = None
+    on_path = set(path)
+    return path + [i for i in range(len(parents)) if i not in on_path]
+
+
+def _prefix_chains(cliques: list, parents: list, order) -> list:
+    """Every clique's forbidden-prefix chain, as masks, in one top-down pass.
+
+    Mask form of ``forbidden_prefixes``: a clique's chain is its parent's
+    chain cut to the separators that lie inside the clique, then the
+    separator to the parent, which holds all of them (the running
+    intersection property).  ``order`` visits parents before children.
+    """
+    chains = [()] * len(cliques)
+    for i in order:
+        p = parents[i]
+        if p is not None:
+            clique = cliques[i]
+            sep = clique & cliques[p]
+            chain = tuple(r for r in chains[p] if not r & ~clique)
+            chains[i] = chain if chain and chain[-1] == sep else chain + (sep,)
+    return chains
+
+
 @dataclass(frozen=True)
 class ComponentStats:
     vertices: int
@@ -402,48 +434,52 @@ class CountingSession:
         self.memo_hits = 0
 
     def count_uccg(self, g: UndirectedGraph, *, root=None) -> int:
+        clique_tree(g, root_clique=root)  # rejects non-chordal, disconnected and bad roots
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 3000 + 3 * g.n))
         host = _Host(g, self.pairs)
         return self._count(host, host.full, root)
 
     def _count(self, host: _Host, sub: int, root=None) -> int:
+        """Count the connected chordal subproblem ``sub``.
+
+        One MCS pass over the host's masks gives the subproblem's cliques and
+        a clique tree; ``root`` (a clique's vertices) re-roots it.  Lone
+        vertices left by a sweep count 1 and are never passed here.
+        """
         val = self.memo.get(sub)
         if val is not None:
             self.memo_hits += 1
             return val
-        if sub == host.full:
-            g = host.graph
-        else:
-            g = host.graph.induced(host.vertices(sub))
-        # A proper subproblem is an induced subgraph of the host, and the
-        # host is chordal (validated, or checked by its own clique tree
-        # first), so only the host itself needs the chordality check.
-        tree = clique_tree(g, root_clique=root, known_chordal=sub != host.full)
-        self.tree_sizes[sub] = len(tree.nodes)
-        key = g.vertex_set
-        if len(tree.nodes) == 1:
-            val = self.ctx.phi_empty(key)
+        cliques, parents = _mcs_cliques(host.nbr, sub)
+        self.tree_sizes[sub] = len(cliques)
+        if len(cliques) == 1:
+            val = self.ctx.phi_empty(frozenset(host.vertices(sub)))
             self.memo[sub] = val
             return val
-        pairs_g = [(u, v) for (u, v) in self.pairs if u in key and v in key]
+        order = range(len(cliques))
+        if root is not None:
+            order = _reroot(parents, cliques.index(host.mask(root)))
+        chains = _prefix_chains(cliques, parents, order)
+        vs = host.graph.vertices
+        preds = host.preds
         total = 0
-        queue = deque([tree.root])
-        while queue:
-            ci = queue.popleft()
-            queue.extend(tree.children(ci))
-            clique = tree.nodes[ci]
+        for i, clique in enumerate(cliques):
             self.lbfs_calls += 1
-            flag, comps, _ = _lbfs(host.nbr, sub, host.mask(clique), host.preds, True, True)
+            flag, comps, _ = _lbfs(host.nbr, sub, clique, preds, True, True)
             if not flag:
                 continue
             prod = 1
             for h in comps:
-                prod *= self._count(host, h)
-            cset = frozenset(clique)
-            chain = forbidden_prefixes(tree, clique)
-            pairs_c = [(u, v) for (u, v) in pairs_g if u in cset and v in cset]
+                if h & (h - 1):
+                    prod *= self._count(host, h)
+            pairs_c = [
+                (vs[u], vs[v]) for v in _iter_bits(clique) for u in _iter_bits(preds[v] & clique)
+            ]
+            chain_sets = tuple(frozenset(host.vertices(r)) for r in chains[i])
             self.phi_chain_evals += 1
-            total += prod * _phi_with_ctx(self.ctx, cset, chain.sets, pairs_c)
+            total += prod * _phi_with_ctx(
+                self.ctx, frozenset(host.vertices(clique)), chain_sets, pairs_c
+            )
         self.memo[sub] = total
         return total
 
@@ -500,13 +536,12 @@ def count_session(instance: MecInstance, *, psi_cap: int | None = None) -> Sessi
         # components in one bit space, so they share the memo soundly.
         host = _Host(graph.undirected_part(), session.pairs)
         count = 1
-        for comp in chordal_components(graph):
+        for sub in _mask_components(host.nbr, host.full):
             before = len(session.memo)
-            sub = host.mask(comp.vertices)
             count *= session._count(host, sub)
             comp_stats.append(
                 ComponentStats(
-                    vertices=comp.n,
+                    vertices=sub.bit_count(),
                     maximal_cliques=session.tree_sizes[sub],
                     distinct_subproblems=len(session.memo) - before,
                 )

@@ -254,44 +254,54 @@ def is_chordal(g: UndirectedGraph) -> bool:
     return True
 
 
-def maximal_cliques(g: UndirectedGraph, *, known_chordal: bool = False) -> list[tuple[int, ...]]:
-    """All maximal cliques of a chordal graph, sorted lexicographically.
+def _mcs_cliques(nbr, sub) -> tuple[list[int], list]:
+    """Maximal cliques of the chordal graph on the nonempty mask ``sub``, and a
+    clique tree.
 
     Runs maximum cardinality search with weight buckets (masks of the
-    unnumbered vertices of each weight, so the lowest id on ties is the
+    unnumbered vertices of each weight, so the lowest position on ties is the
     lowest bit); a clique closes whenever the weight of the picked vertex
-    fails to grow.  Rejects non-chordal input unless the caller vouches for
-    it with ``known_chordal`` (induced subgraphs of a chordal graph).
+    fails to grow.  A new clique's parent is the clique that holds its most
+    recently numbered earlier neighbour (Blair and Peyton 1993), so the
+    parents form a clique tree rooted at the first clique, and every parent
+    comes before its children.  A clique with no earlier neighbour starts a
+    new component and has parent None.  Returns ``(cliques, parents)``,
+    cliques as masks in the order they were found.
     """
-    if g.n == 0:
-        return []
-    if not known_chordal and not is_chordal(g):
-        raise ValueError("graph is not chordal")
-    _, nbr = _masks(g)
-    n = g.n
-    buckets = [0] * (n + 1)
-    buckets[0] = (1 << n) - 1
+    buckets = [0] * (sub.bit_count() + 1)
+    buckets[0] = unnumbered = sub
     best = 0
-    numbered = 0
     cliques = []
+    parents = []
+    home = {}  # position -> index of the clique it was numbered into
+    open_index = 0  # index the open clique will get
     current = 0
+    up = None  # parent of the open clique
     prev_card = -1
-    for _ in range(n):
+    while unnumbered:
         while not buckets[best]:
             best -= 1
         low = buckets[best] & -buckets[best]
         v = low.bit_length() - 1
         if best <= prev_card:
             cliques.append(current)
-            current = low | (nbr[v] & numbered)
+            parents.append(up)
+            open_index += 1
+            earlier = nbr[v] & (sub ^ unnumbered)
+            current = low | earlier
+            if earlier & (earlier - 1):
+                up = max(map(home.__getitem__, _iter_bits(earlier)))
+            else:  # one earlier neighbour, or none (position -1) at a new component
+                up = home.get(earlier.bit_length() - 1)
         else:
             current |= low
+        home[v] = open_index
         prev_card = best
         buckets[best] ^= low
-        numbered |= low
+        unnumbered ^= low
         # Each unnumbered neighbour moves up one bucket.  Going down from
         # the top bucket moves every vertex once; none is heavier than v.
-        rest = nbr[v] & ~numbered
+        rest = nbr[v] & unnumbered
         w = best
         while rest:
             moving = buckets[w] & rest
@@ -302,7 +312,22 @@ def maximal_cliques(g: UndirectedGraph, *, known_chordal: bool = False) -> list[
             w -= 1
         best += 1
     cliques.append(current)
+    parents.append(up)
+    return cliques, parents
+
+
+def maximal_cliques(g: UndirectedGraph) -> list[tuple[int, ...]]:
+    """All maximal cliques of a chordal graph, sorted lexicographically.
+
+    Rejects non-chordal input.
+    """
+    if g.n == 0:
+        return []
+    if not is_chordal(g):
+        raise ValueError("graph is not chordal")
+    _, nbr = _masks(g)
     vs = g.vertices
+    cliques, _ = _mcs_cliques(nbr, (1 << g.n) - 1)
     return sorted(tuple(vs[i] for i in _iter_bits(c)) for c in cliques)
 
 
@@ -352,7 +377,7 @@ class RootedCliqueTree:
         return path
 
 
-def clique_tree(g: UndirectedGraph, root_clique=None, *, known_chordal: bool = False) -> RootedCliqueTree:
+def clique_tree(g: UndirectedGraph, root_clique=None) -> RootedCliqueTree:
     """Rooted clique tree of a connected chordal graph.
 
     The tree is a maximum-weight spanning tree of the clique intersection
@@ -360,13 +385,12 @@ def clique_tree(g: UndirectedGraph, root_clique=None, *, known_chordal: bool = F
     pair.  Unless ``root_clique`` forces a choice, the root is the maximal
     clique containing the lowest vertex (again the lexicographically
     smallest such clique on ties), making the construction deterministic.
-    ``known_chordal`` skips the chordality check, as in ``maximal_cliques``.
     """
     if g.n == 0:
         raise ValueError("graph is empty")
     if len(connected_components(g)) != 1:
         raise ValueError("clique tree requires a connected graph")
-    cliques = maximal_cliques(g, known_chordal=known_chordal)
+    cliques = maximal_cliques(g)
     m = len(cliques)
     csets = [frozenset(c) for c in cliques]
     adj_tree: list[list[int]] = [[] for _ in range(m)]

@@ -7,8 +7,10 @@ import threading
 
 import pytest
 
+import amocount.counting as counting_module
 from amocount.counting import (
     DEFAULT_PERMUTATION_CAP,
+    CountingSession,
     FactorialTable,
     MemoTable,
     PermutationCapError,
@@ -20,9 +22,21 @@ from amocount.counting import (
     phi,
     psi,
     _Host,
+    _prefix_chains,
+    _reroot,
 )
-from amocount.graphs import UndirectedGraph, _lbfs, clique_tree, maximal_cliques
-from amocount.mec import BackgroundKnowledge, MecInstance
+from amocount.graphs import (
+    RootedCliqueTree,
+    UndirectedGraph,
+    _iter_bits,
+    _lbfs,
+    _mask_components,
+    _masks,
+    _mcs_cliques,
+    clique_tree,
+    maximal_cliques,
+)
+from amocount.mec import BackgroundKnowledge, MecInstance, chordal_components
 from amocount.oracle import (
     amos_represented_by,
     enumerate_amos,
@@ -30,7 +44,7 @@ from amocount.oracle import (
     psi_bruteforce,
     union_graph,
 )
-from conftest import random_claims, random_uccg, uccg_instance
+from conftest import random_chain_instance, random_claims, random_uccg, uccg_instance
 
 PAW = UndirectedGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 SEVEN = UndirectedGraph(
@@ -341,6 +355,86 @@ class TestForbiddenPrefixes:
         assert forbidden_prefixes(t, (0, 1, 2)) == PrefixChain()
 
 
+def connected_submasks(g, seed):
+    """The components of the whole graph and of six random vertex subsets."""
+    _, nbr = _masks(g)
+    rng = random.Random(41_000 + seed)
+    subs = set(_mask_components(nbr, (1 << g.n) - 1))
+    for _ in range(6):
+        picked = sum(1 << i for i in range(g.n) if rng.random() < 0.6)
+        subs.update(_mask_components(nbr, picked))
+    return nbr, sorted(subs)
+
+
+class TestMaskCliqueTree:
+    """The MCS clique tree over host masks, against the public graph code."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_cliques_match_the_induced_graph(self, seed):
+        g = random_uccg(seed, 6, 14)
+        nbr, subs = connected_submasks(g, seed)
+        vs = g.vertices
+        for sub in subs:
+            cliques, _ = _mcs_cliques(nbr, sub)
+            got = sorted(tuple(vs[i] for i in _iter_bits(c)) for c in cliques)
+            assert got == maximal_cliques(g.induced(vs[i] for i in _iter_bits(sub))), (seed, sub)
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_tree_has_running_intersection(self, seed):
+        g = random_uccg(seed, 6, 14)
+        nbr, subs = connected_submasks(g, seed)
+        for sub in subs:
+            cliques, parents = _mcs_cliques(nbr, sub)
+            assert parents[0] is None
+            assert all(parents[i] < i for i in range(1, len(cliques)))
+            for v in _iter_bits(sub):
+                holding = {i for i, c in enumerate(cliques) if c >> v & 1}
+                tops = [i for i in holding if parents[i] not in holding]
+                assert len(tops) == 1, (seed, sub, v)
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_chains_match_forbidden_prefixes_at_every_root(self, seed):
+        g = random_uccg(seed, 6, 14)
+        nbr, subs = connected_submasks(g, seed)
+        vs = g.vertices
+
+        def labels(mask):
+            return tuple(vs[i] for i in _iter_bits(mask))
+
+        for sub in subs:
+            cliques, base = _mcs_cliques(nbr, sub)
+            nodes = tuple(labels(c) for c in cliques)
+            for root in range(len(cliques)):
+                parents = list(base)
+                order = _reroot(parents, root)
+                assert sorted(order) == list(range(len(cliques)))
+                assert root or order == list(range(len(cliques)))
+                rank = {i: k for k, i in enumerate(order)}
+                assert all(p is None or rank[p] < rank[i] for i, p in enumerate(parents))
+                tree = RootedCliqueTree(nodes, tuple(parents), root)
+                chains = _prefix_chains(cliques, parents, order)
+                for i, node in enumerate(nodes):
+                    expected = forbidden_prefixes(tree, node)
+                    assert PrefixChain(labels(r) for r in chains[i]) == expected, (seed, sub, root, i)
+
+    def test_subproblems_build_no_graph(self, monkeypatch):
+        g = random_uccg(3, 12, 14)
+        k = random_claims(g, random.Random(3), "oriented")
+        expected = count_uccg(g, k)
+        session = CountingSession(k)
+        host = _Host(g, session.pairs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the counting path built a graph")
+
+        monkeypatch.setattr(UndirectedGraph, "induced", forbidden)
+        monkeypatch.setattr(UndirectedGraph, "_init_from", forbidden)
+        monkeypatch.setattr(counting_module, "_masks", forbidden)
+        monkeypatch.setattr(counting_module, "clique_tree", forbidden)
+        assert session._count(host, host.full) == expected
+        assert session.lbfs_calls > 1
+
+
 class TestCountUccg:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_complete_graph_law(self, n):
@@ -361,6 +455,20 @@ class TestCountUccg:
     def test_claims_must_be_edges(self):
         with pytest.raises(ValueError):
             count_uccg(PAW, BackgroundKnowledge([(0, 3)]))
+
+    def test_rejects_a_chordless_cycle(self):
+        c4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(ValueError):
+            count_uccg(c4, BackgroundKnowledge.empty())
+
+    def test_rejects_a_disconnected_graph(self):
+        with pytest.raises(ValueError):
+            count_uccg(UndirectedGraph(4, [(0, 1), (2, 3)]), BackgroundKnowledge.empty())
+
+    @pytest.mark.parametrize("root", [(2, 3), (0, 6), (0, 1, 2, 3, 4), (7,)])
+    def test_rejects_a_root_that_is_not_a_maximal_clique(self, root):
+        with pytest.raises(ValueError):
+            count_uccg(SEVEN, BackgroundKnowledge.empty(), root=root)
 
     def test_root_choice_does_not_matter(self):
         for c in maximal_cliques(SEVEN):
@@ -419,6 +527,14 @@ class TestCountSession:
             count_session(
                 uccg_instance(complete(4), [(0, 1), (1, 2), (2, 3)]), psi_cap=3
             )
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_component_stats_match_the_components(self, seed):
+        inst = random_chain_instance(seed) if seed % 2 else uccg_instance(random_uccg(seed, 4, 12))
+        res = count_session(inst)
+        assert [(c.vertices, c.maximal_cliques) for c in res.stats.components] == [
+            (h.n, len(maximal_cliques(h))) for h in chordal_components(inst.graph)
+        ]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_bound_holds_on_random_instances(self, seed):
