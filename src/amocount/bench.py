@@ -25,6 +25,7 @@ CSV_FIELDS = (
     "seed",
     "time_ms",
     "count_decimal_digits",
+    "count_is_zero",
     "engine_version",
 )
 
@@ -37,6 +38,7 @@ class BenchRecord:
     seed: int
     time_ms: float
     count_decimal_digits: int
+    count_is_zero: bool  # a zero count means the sweeps only rejected
     engine_version: str = __version__
 
     def row(self):
@@ -47,6 +49,7 @@ class BenchRecord:
             self.seed,
             f"{self.time_ms:.3f}",
             self.count_decimal_digits,
+            int(self.count_is_zero),
             self.engine_version,
         ]
 
@@ -115,6 +118,7 @@ def run_bench(
                     seed=s,
                     time_ms=dt,
                     count_decimal_digits=len(str(result.count)),
+                    count_is_zero=result.count == 0,
                 )
                 records.append(rec)
                 cells.setdefault((n, k), []).append(dt)

@@ -5,11 +5,11 @@ maximal clique C is tested with a knowledge-aware LBFS sweep, and each
 consistent clique contributes the number of admissible permutations of C
 (those avoiding a chain of forbidden prefixes read off the clique tree)
 times the product of recursive counts on the subproblems the sweep leaves
-behind.  Subproblems are vertex masks over one host graph (see
-``graphs._masks``) and no subproblem graph is ever built: one maximum
-cardinality search over the host's masks gives a subproblem's cliques and
-clique tree.  Results are memoized by that mask, and permutation counts by
-endpoint set.  All arithmetic is exact.
+behind.  Subproblems are vertex masks over one host graph, whose neighbour
+masks an instance builds once (``PartiallyDirectedGraph.undirected_masks``),
+and no graph is ever built: one maximum cardinality search over the host's
+masks gives a subproblem's cliques and clique tree.  Results are memoized by
+that mask, and permutation counts by endpoint set.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -131,28 +131,29 @@ def _pairs_of(knowledge) -> frozenset:
 class _Host:
     """A host graph in bitmask form.
 
-    ``bit`` and ``nbr`` come from ``graphs._masks``; ``preds[i]`` is the mask
-    of sources of the claims into position i.  Subproblems are masks over
-    ``graph``; ``full`` is the whole graph.
+    Position i holds vertex ``labels[i]``; ``nbr[i]`` is its neighbour mask
+    and ``preds[i]`` the mask of sources of the claims into it.  Subproblems
+    are masks over these positions; ``full`` is the whole graph.
     """
 
-    __slots__ = ("graph", "bit", "nbr", "preds", "full")
+    __slots__ = ("labels", "bit", "nbr", "preds", "full")
 
-    def __init__(self, g: UndirectedGraph, pairs):
-        self.graph = g
-        self.bit, self.nbr = _masks(g)
-        self.full = (1 << g.n) - 1
-        self.preds = [0] * g.n
+    def __init__(self, labels, nbr, pairs):
+        self.labels = labels
+        self.bit = bit = {v: 1 << i for i, v in enumerate(labels)}
+        self.nbr = nbr
+        self.full = (1 << len(labels)) - 1
+        self.preds = preds = [0] * len(labels)
         for u, v in pairs:
-            if u in self.bit and v in self.bit:
-                self.preds[self.bit[v].bit_length() - 1] |= self.bit[u]
+            if u in bit and v in bit:
+                preds[bit[v].bit_length() - 1] |= bit[u]
 
     def mask(self, vertices) -> int:
         return sum(map(self.bit.__getitem__, vertices))
 
     def vertices(self, mask: int) -> list:
-        vs = self.graph.vertices
-        return [vs[i] for i in _iter_bits(mask)]
+        labels = self.labels
+        return [labels[i] for i in _iter_bits(mask)]
 
 
 def _linear_extension_count(members: tuple, pairs) -> int:
@@ -312,7 +313,7 @@ def lbfs_background(g: UndirectedGraph, clique, knowledge) -> LbfsResult:
     for u, v in pairs:
         if u not in g.vertex_set or v not in g.vertex_set or not g.has_edge(u, v):
             raise ValueError(f"claim {u}->{v} is not an edge of the graph")
-    host = _Host(g, pairs)
+    host = _Host(g.vertices, _masks(g)[1], pairs)
     flag, comps, _ = _lbfs(host.nbr, host.full, host.mask(c), host.preds, True)
     return LbfsResult(bool(flag), tuple(frozenset(host.vertices(h)) for h in comps))
 
@@ -436,7 +437,7 @@ class CountingSession:
     def count_uccg(self, g: UndirectedGraph, *, root=None) -> int:
         clique_tree(g, root_clique=root)  # rejects non-chordal, disconnected and bad roots
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 3000 + 3 * g.n))
-        host = _Host(g, self.pairs)
+        host = _Host(g.vertices, _masks(g)[1], self.pairs)
         return self._count(host, host.full, root)
 
     def _count(self, host: _Host, sub: int, root=None) -> int:
@@ -460,7 +461,7 @@ class CountingSession:
         if root is not None:
             order = _reroot(parents, cliques.index(host.mask(root)))
         chains = _prefix_chains(cliques, parents, order)
-        vs = host.graph.vertices
+        vs = host.labels
         preds = host.preds
         total = 0
         for i, clique in enumerate(cliques):
@@ -534,7 +535,7 @@ def count_session(instance: MecInstance, *, psi_cap: int | None = None) -> Sessi
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 3000 + 3 * graph.n))
         # One host over the whole undirected part keeps the masks of all
         # components in one bit space, so they share the memo soundly.
-        host = _Host(graph.undirected_part(), session.pairs)
+        host = _Host(range(graph.n), graph.undirected_masks(), session.pairs)
         count = 1
         for sub in _mask_components(host.nbr, host.full):
             before = len(session.memo)

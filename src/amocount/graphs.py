@@ -228,30 +228,38 @@ def lbfs_order(g: UndirectedGraph) -> list:
     return [g.vertices[i] for i in order]
 
 
-def is_chordal(g: UndirectedGraph) -> bool:
-    """Chordality via the reversed LBFS order.
+def _is_chordal_mask(nbr, sub) -> bool:
+    """Chordality of the subgraph on the mask ``sub``.
 
-    The reverse of an LBFS order of a chordal graph is a perfect elimination
-    ordering; the standard single-witness check (each vertex's latest earlier
-    neighbor in the LBFS order must be adjacent to the other earlier
-    neighbors) verifies it in linear time.
+    Runs maximum cardinality search (``_mcs_cliques``) and checks that every
+    vertex set it closes is a clique.  On a chordal graph they are its
+    maximal cliques (Tarjan and Yannakakis 1984).  Conversely, when every
+    set is a clique, so is each vertex's set of earlier-numbered neighbours:
+    a vertex that opens a set brings exactly those neighbours into it, and a
+    vertex that grows the open set outweighs the previous vertex by one, so
+    its earlier neighbours are as many as the open set holds and, being
+    adjacent to all of it, are that set.  The search order reversed is then
+    a perfect elimination ordering.
     """
-    if g.n <= 2:
-        return True
-    _, nbr = _masks(g)
-    _, _, order = _lbfs(nbr, (1 << g.n) - 1, 0, None, False)
-    index = [0] * g.n
-    for i, v in enumerate(order):
-        index[v] = i
-    seen = 0
-    for v in order:
-        earlier = nbr[v] & seen
-        if earlier:
-            w = max(_iter_bits(earlier), key=index.__getitem__)
-            if earlier & ~nbr[w] & ~(1 << w):
+    return _all_cliques(nbr, _mcs_cliques(nbr, sub)[0])
+
+
+def _all_cliques(nbr, masks) -> bool:
+    """Whether every mask in ``masks`` is a clique."""
+    for clique in masks:
+        rest = clique
+        while rest:
+            low = rest & -rest
+            if clique & ~nbr[low.bit_length() - 1] != low:
                 return False
-        seen |= 1 << v
+            rest ^= low
     return True
+
+
+def is_chordal(g: UndirectedGraph) -> bool:
+    """Whether ``g`` is chordal."""
+    _, nbr = _masks(g)
+    return _is_chordal_mask(nbr, (1 << g.n) - 1)
 
 
 def _mcs_cliques(nbr, sub) -> tuple[list[int], list]:
@@ -323,11 +331,11 @@ def maximal_cliques(g: UndirectedGraph) -> list[tuple[int, ...]]:
     """
     if g.n == 0:
         return []
-    if not is_chordal(g):
-        raise ValueError("graph is not chordal")
     _, nbr = _masks(g)
-    vs = g.vertices
     cliques, _ = _mcs_cliques(nbr, (1 << g.n) - 1)
+    if not _all_cliques(nbr, cliques):  # see _is_chordal_mask
+        raise ValueError("graph is not chordal")
+    vs = g.vertices
     return sorted(tuple(vs[i] for i in _iter_bits(c)) for c in cliques)
 
 

@@ -38,23 +38,42 @@ def _expect(cond, msg):
 
 
 def _label_pairs(raw, key, label_ids, *, ordered):
-    pairs = []
     _expect(isinstance(raw, list), f"'{key}' must be an array")
-    # Messages are formatted only on failure: this loop runs once per edge.
+    pairs = []
+    append = pairs.append
+    # This loop runs once per edge: a bad item only stops it, and
+    # _raise_bad_pair finds the first bad item again and names its fault.
+    try:
+        for item in raw:
+            if type(item) is not list:
+                break
+            a, b = item
+            u = label_ids[a]
+            v = label_ids[b]
+            if u == v:
+                break
+            append((u, v) if ordered or u < v else (v, u))
+        else:
+            return pairs
+    except (ValueError, KeyError, TypeError):
+        pass
+    _raise_bad_pair(raw, key, label_ids)
+
+
+def _raise_bad_pair(raw, key, label_ids):
+    """Raise the fault of the first bad item of ``raw``: its shape, then a
+    label that is not a string, then an unknown label, then a self-loop."""
     for i, item in enumerate(raw):
-        if not (isinstance(item, list) and len(item) == 2):
+        if not (type(item) is list and len(item) == 2):
             raise InstanceFormatError(f"{key}[{i}] must be a pair of labels")
-        a, b = item
-        for lab in (a, b):
+        for lab in item:
             if not isinstance(lab, str):
                 raise InstanceFormatError(f"{key}[{i}] must contain string labels")
             if lab not in label_ids:
                 raise InstanceFormatError(f"{key}[{i}] references unknown label '{lab}'")
-        if a == b:
+        if item[0] == item[1]:
             raise InstanceFormatError(f"{key}[{i}] is a self-loop")
-        u, v = label_ids[a], label_ids[b]
-        pairs.append((u, v) if ordered or u < v else (v, u))
-    return pairs
+    raise AssertionError(f"no bad item in '{key}'")
 
 
 def parse_instance_text(text: str) -> InstanceDocument:
@@ -68,7 +87,8 @@ def parse_instance_text(text: str) -> InstanceDocument:
     raw_labels = doc.get("vertices")
     _expect(isinstance(raw_labels, list) and raw_labels, "'vertices' must be a non-empty array")
     for i, lab in enumerate(raw_labels):
-        _expect(isinstance(lab, str), f"vertices[{i}] must be a string label")
+        if not isinstance(lab, str):
+            raise InstanceFormatError(f"vertices[{i}] must be a string label")
     labels = tuple(sorted(raw_labels))
     _expect(len(set(labels)) == len(labels), "'vertices' contains duplicate labels")
     label_ids = {lab: i for i, lab in enumerate(labels)}

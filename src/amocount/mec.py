@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import UndirectedGraph, connected_components, is_chordal, maximal_cliques
+from .graphs import (
+    UndirectedGraph,
+    _is_chordal_mask,
+    _iter_bits,
+    _mask_components,
+    connected_components,
+    maximal_cliques,
+)
 
 
 class BackgroundKnowledge:
@@ -70,11 +77,6 @@ class BackgroundKnowledge:
         return f"BackgroundKnowledge({sorted(self.pairs)!r})"
 
 
-def restrict_knowledge(knowledge: BackgroundKnowledge, vertices) -> BackgroundKnowledge:
-    """Claims with both endpoints inside ``vertices``."""
-    return knowledge.restrict(vertices)
-
-
 class PartiallyDirectedGraph:
     """Graph over dense vertices 0..n-1 with undirected and directed edges.
 
@@ -82,36 +84,38 @@ class PartiallyDirectedGraph:
     exactly one direction.
     """
 
-    __slots__ = ("n", "undirected", "directed", "_skeleton_adj", "_undirected_part")
+    __slots__ = (
+        "n", "undirected", "directed", "_skeleton_adj", "_undirected_part", "_undirected_masks"
+    )
 
     def __init__(self, n: int, undirected=(), directed=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         und = set()
+        add = und.add
         for u, v in undirected:
-            self._check_pair(n, u, v)
-            und.add((min(u, v), max(u, v)))
+            if 0 <= u < v < n:
+                add((u, v))
+            elif 0 <= v < u < n:
+                add((v, u))
+            else:
+                _raise_bad_edge(n, u, v)
         dire = set()
         for u, v in directed:
-            self._check_pair(n, u, v)
+            if not (0 <= u < v < n or 0 <= v < u < n):
+                _raise_bad_edge(n, u, v)
             if (v, u) in dire:
                 raise ValueError(f"edge {u},{v} directed both ways")
             dire.add((u, v))
         for u, v in dire:
-            if (min(u, v), max(u, v)) in und:
+            if (u, v) in und or (v, u) in und:
                 raise ValueError(f"edge {u},{v} is both directed and undirected")
         self.n = n
         self.undirected = frozenset(und)
         self.directed = frozenset(dire)
         self._skeleton_adj = None
         self._undirected_part = None
-
-    @staticmethod
-    def _check_pair(n, u, v):
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
+        self._undirected_masks = None
 
     @property
     def skeleton_pairs(self) -> frozenset:
@@ -132,6 +136,18 @@ class PartiallyDirectedGraph:
         if self._undirected_part is None:
             self._undirected_part = UndirectedGraph(self.n, self.undirected)
         return self._undirected_part
+
+    def undirected_masks(self) -> tuple:
+        """Neighbour mask of each vertex 0..n-1 in the undirected part: bit u
+        of entry v is set when u-v is an undirected edge."""
+        if self._undirected_masks is None:
+            bit = [1 << v for v in range(self.n)]
+            bits = [[] for _ in bit]
+            for u, v in self.undirected:
+                bits[u].append(bit[v])
+                bits[v].append(bit[u])
+            self._undirected_masks = tuple(map(sum, bits))
+        return self._undirected_masks
 
     @property
     def is_fully_directed(self) -> bool:
@@ -154,6 +170,12 @@ class PartiallyDirectedGraph:
             f"PartiallyDirectedGraph(n={self.n}, undirected={len(self.undirected)},"
             f" directed={len(self.directed)})"
         )
+
+
+def _raise_bad_edge(n, u, v):
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+    raise ValueError(f"self-loop at vertex {u}")
 
 
 @dataclass(frozen=True)
@@ -187,27 +209,29 @@ def validate(instance: MecInstance) -> list[str]:
     acyclic.  An empty list means the instance is acceptable.
     """
     g = instance.graph
+    n = g.n
+    und, dire = g.undirected, g.directed
     msgs = []
-    skeleton = g.skeleton_pairs
     for u, v in sorted(instance.knowledge):
-        if not (0 <= u < g.n and 0 <= v < g.n):
+        if not (0 <= u < n and 0 <= v < n):
             msgs.append(f"knowledge claim {u}->{v} references an unknown vertex")
-        elif (min(u, v), max(u, v)) not in skeleton:
+        elif not ((u, v) in und or (v, u) in und or (u, v) in dire or (v, u) in dire):
             msgs.append(f"knowledge claim {u}->{v} is not an edge of the graph")
 
-    comps = chordal_components(g)
-    comp_of = {}
+    nbr = g.undirected_masks()
+    comps = _mask_components(nbr, (1 << n) - 1)
+    comp_of = [0] * n
     for ci, comp in enumerate(comps):
-        for v in comp.vertices:
+        for v in _iter_bits(comp):
             comp_of[v] = ci
-        if comp.n > 1 and not is_chordal(comp):
+        if comp & (comp - 1) and not _is_chordal_mask(nbr, comp):
             msgs.append(
-                f"undirected component containing vertex {comp.vertices[0]}"
+                f"undirected component containing vertex {(comp & -comp).bit_length() - 1}"
                 " is not chordal"
             )
 
     quotient_edges = set()
-    for u, v in sorted(g.directed):
+    for u, v in sorted(dire):
         if comp_of[u] == comp_of[v]:
             msgs.append(
                 f"directed edge {u}->{v} joins two vertices of one undirected"

@@ -193,6 +193,18 @@ class TestBench:
             arows = list(csv.DictReader(fh))
         assert len(arows) == 2
 
+    def test_sweep_marks_zero_counts(self, tmp_path):
+        out = str(tmp_path / "bench.csv")
+        code = main(
+            ["bench", "--n-list", "10,12", "--k-list", "2", "--reps", "1",
+             "--seed", "0", "--out", out]
+        )
+        assert code == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["count_is_zero"] for r in rows] == ["0", "1"]
+        assert rows[1]["count_decimal_digits"] == "1"
+
     def test_growth_comparison_mode(self, tmp_path):
         out = str(tmp_path / "pairs.csv")
         code = main(

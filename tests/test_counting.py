@@ -8,6 +8,8 @@ import threading
 import pytest
 
 import amocount.counting as counting_module
+import amocount.graphs as graphs_module
+import amocount.mec as mec_module
 from amocount.counting import (
     DEFAULT_PERMUTATION_CAP,
     CountingSession,
@@ -36,7 +38,18 @@ from amocount.graphs import (
     clique_tree,
     maximal_cliques,
 )
-from amocount.mec import BackgroundKnowledge, MecInstance, chordal_components
+from amocount.instancefile import (
+    InstanceDocument,
+    default_labels,
+    parse_instance_text,
+    serialize_instance,
+)
+from amocount.mec import (
+    BackgroundKnowledge,
+    MecInstance,
+    PartiallyDirectedGraph,
+    chordal_components,
+)
 from amocount.oracle import (
     amos_represented_by,
     enumerate_amos,
@@ -328,7 +341,7 @@ class TestLbfsBackground:
     def test_early_exit_is_a_prefix_of_the_full_sweep(self, seed):
         g = random_uccg(seed, 3, 9)
         k = random_claims(g, random.Random(90_000 + seed), "oriented")
-        host = _Host(g, k.pairs)
+        host = _Host(g.vertices, _masks(g)[1], k.pairs)
         for c in maximal_cliques(g):
             seed_mask = host.mask(c)
             full = _lbfs(host.nbr, host.full, seed_mask, host.preds, True)
@@ -422,7 +435,7 @@ class TestMaskCliqueTree:
         k = random_claims(g, random.Random(3), "oriented")
         expected = count_uccg(g, k)
         session = CountingSession(k)
-        host = _Host(g, session.pairs)
+        host = _Host(g.vertices, _masks(g)[1], session.pairs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the counting path built a graph")
@@ -433,6 +446,28 @@ class TestMaskCliqueTree:
         monkeypatch.setattr(counting_module, "clique_tree", forbidden)
         assert session._count(host, host.full) == expected
         assert session.lbfs_calls > 1
+
+    def test_ingest_and_count_build_no_graph(self, monkeypatch):
+        instances = [random_chain_instance(seed) for seed in range(4)]
+        assert all(inst.knowledge and inst.graph.directed for inst in instances)
+        texts = [
+            serialize_instance(InstanceDocument(default_labels(inst.graph.n), inst))
+            for inst in instances
+        ]
+        expected = [count_session(inst).count for inst in instances]
+        assert all(expected)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reading or counting an instance built a graph")
+
+        monkeypatch.setattr(UndirectedGraph, "_init_from", forbidden)
+        monkeypatch.setattr(UndirectedGraph, "induced", forbidden)
+        monkeypatch.setattr(graphs_module, "_masks", forbidden)
+        monkeypatch.setattr(counting_module, "_masks", forbidden)
+        monkeypatch.setattr(PartiallyDirectedGraph, "undirected_part", forbidden)
+        monkeypatch.setattr(mec_module, "chordal_components", forbidden)
+        counts = [count_session(parse_instance_text(t).instance).count for t in texts]
+        assert counts == expected
 
 
 class TestCountUccg:

@@ -96,6 +96,36 @@ class TestParse:
             parse_instance_text(text(**mutation))
         assert str(e.value) == message
 
+    @pytest.mark.parametrize(
+        "mutation,message",
+        [
+            # an item's faults are tried in order: its shape, a label that is
+            # not a string, an unknown label, a self-loop
+            ({"undirected_edges": [["a", "b"], "ab"]},
+             "undirected_edges[1] must be a pair of labels"),
+            ({"undirected_edges": [{"a": 1, "b": 2}]},
+             "undirected_edges[0] must be a pair of labels"),
+            ({"directed_edges": [["a", "b", "c"]]}, "directed_edges[0] must be a pair of labels"),
+            ({"directed_edges": [[3, "z"]]}, "directed_edges[0] must contain string labels"),
+            ({"directed_edges": [["a", ["b"]]]}, "directed_edges[0] must contain string labels"),
+            ({"knowledge": [["z", 3]]}, "knowledge[0] references unknown label 'z'"),
+            ({"knowledge": [["a", "z"], ["c", "c"]]}, "knowledge[0] references unknown label 'z'"),
+            ({"knowledge": [["z", "z"]]}, "knowledge[0] references unknown label 'z'"),
+            ({"directed_edges": [["d", "d"]]}, "directed_edges[0] is a self-loop"),
+            # the first bad item wins, and the lists are read in file order
+            ({"undirected_edges": [["a", "b"], ["c", "c"], ["z"]]},
+             "undirected_edges[1] is a self-loop"),
+            ({"undirected_edges": [["a", "a"]], "knowledge": [["z"]]},
+             "undirected_edges[0] is a self-loop"),
+            ({"directed_edges": [["a", "d"], ["d", "e"]], "knowledge": [1]},
+             "directed_edges[1] references unknown label 'e'"),
+        ],
+    )
+    def test_first_bad_item_and_its_first_fault(self, mutation, message):
+        with pytest.raises(InstanceFormatError) as e:
+            parse_instance_text(text(**mutation))
+        assert str(e.value) == message
+
     def test_edge_in_both_parts_is_rejected(self):
         with pytest.raises(InstanceFormatError):
             parse_instance_text(text(directed_edges=[["a", "b"]]))

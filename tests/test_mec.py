@@ -1,7 +1,11 @@
 """Instance model: knowledge sets, mixed graphs, validation, the parameter."""
 
+import itertools
+import random
+
 import pytest
 
+from amocount.generators import GenConfig, random_chordal
 from amocount.mec import (
     BackgroundKnowledge,
     InvalidInstanceError,
@@ -10,7 +14,6 @@ from amocount.mec import (
     chordal_components,
     count_amo,
     max_clique_knowledge,
-    restrict_knowledge,
     validate,
 )
 
@@ -47,7 +50,7 @@ class TestBackgroundKnowledge:
     def test_restrict(self):
         k = BackgroundKnowledge([(0, 1), (1, 2), (3, 4)])
         assert k.restrict({0, 1, 2}) == BackgroundKnowledge([(0, 1), (1, 2)])
-        assert restrict_knowledge(k, {4, 3}) == BackgroundKnowledge([(3, 4)])
+        assert k.restrict({4, 3}) == BackgroundKnowledge([(3, 4)])
         assert k.restrict({0, 2}) == BackgroundKnowledge.empty()
 
     def test_union(self):
@@ -92,6 +95,42 @@ class TestPartiallyDirectedGraph:
     def test_undirected_pairs_normalized(self):
         g = PartiallyDirectedGraph(3, [(2, 0)], [])
         assert g.undirected == frozenset({(0, 2)})
+
+    @pytest.mark.parametrize(
+        "und,dire,message",
+        [
+            ([(2, 5)], [], "edge (2, 5) out of range for 3 vertices"),
+            ([(5, 2)], [], "edge (5, 2) out of range for 3 vertices"),
+            ([(-1, 2)], [], "edge (-1, 2) out of range for 3 vertices"),
+            ([], [(4, 1)], "edge (4, 1) out of range for 3 vertices"),
+            ([(3, 3)], [], "edge (3, 3) out of range for 3 vertices"),
+            ([(1, 1)], [], "self-loop at vertex 1"),
+            ([], [(2, 2)], "self-loop at vertex 2"),
+            ([], [(1, 0), (2, 1), (0, 1)], "edge 0,1 directed both ways"),
+            ([(0, 1)], [(1, 0)], "edge 1,0 is both directed and undirected"),
+            ([(1, 0)], [(0, 1)], "edge 0,1 is both directed and undirected"),
+            # undirected edges are checked first, then directed edges in
+            # input order, then the overlap of the two parts
+            ([(0, 1), (0, 0)], [(5, 1)], "self-loop at vertex 0"),
+            ([(0, 1)], [(0, 1), (2, 1), (1, 2)], "edge 1,2 directed both ways"),
+            ([(0, 1)], [(0, 1), (2, 2)], "self-loop at vertex 2"),
+        ],
+    )
+    def test_error_messages(self, und, dire, message):
+        with pytest.raises(ValueError) as e:
+            PartiallyDirectedGraph(3, und, dire)
+        assert str(e.value) == message
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError) as e:
+            PartiallyDirectedGraph(-1)
+        assert str(e.value) == "vertex count must be nonnegative"
+
+    def test_undirected_masks(self):
+        masks = TWO_COMPONENT.undirected_masks()
+        assert masks == (0b10, 0b1, 0, 0b110000, 0b101000, 0b11000)
+        assert TWO_COMPONENT.undirected_masks() is masks
+        assert PartiallyDirectedGraph(0).undirected_masks() == ()
 
 
 class TestChordalComponents:
@@ -139,6 +178,159 @@ class TestValidate:
     def test_directed_only_dag_is_valid(self):
         g = PartiallyDirectedGraph(3, [], [(0, 1), (1, 2), (0, 2)])
         assert validate(MecInstance(g, BackgroundKnowledge.empty())) == []
+
+    def test_every_fault_in_order(self):
+        # components {0, 9}, the 4-cycle {1, 3, 5, 7}, the 5-cycle
+        # {2, 4, 6, 8, 10} and {11}; 1->5 lies inside the 4-cycle and
+        # 0->2->11->9 closes a cycle through three components
+        g = PartiallyDirectedGraph(
+            12,
+            [(9, 0), (7, 1), (3, 5), (1, 3), (5, 7),
+             (10, 2), (8, 10), (6, 8), (4, 6), (2, 4)],
+            [(11, 9), (2, 11), (1, 5), (0, 2)],
+        )
+        k = BackgroundKnowledge([(9, 0), (0, 12), (2, 0), (0, 5)])
+        assert validate(MecInstance(g, k)) == [
+            "knowledge claim 0->5 is not an edge of the graph",
+            "knowledge claim 0->12 references an unknown vertex",
+            "undirected component containing vertex 1 is not chordal",
+            "undirected component containing vertex 2 is not chordal",
+            "directed edge 1->5 joins two vertices of one undirected component"
+            " (semi-directed cycle)",
+            "directed edges form a cycle across undirected components",
+        ]
+
+
+def reference_validate(instance):
+    """``validate`` written with plain sets: a breadth-first search for the
+    components and greedy simplicial-vertex elimination for chordality."""
+    g = instance.graph
+    n = g.n
+    skeleton = {frozenset(e) for e in g.undirected | g.directed}
+    msgs = []
+    for u, v in sorted(instance.knowledge):
+        if not (0 <= u < n and 0 <= v < n):
+            msgs.append(f"knowledge claim {u}->{v} references an unknown vertex")
+        elif frozenset((u, v)) not in skeleton:
+            msgs.append(f"knowledge claim {u}->{v} is not an edge of the graph")
+    adj = {v: set() for v in range(n)}
+    for u, v in g.undirected:
+        adj[u].add(v)
+        adj[v].add(u)
+    comp_of, comps = {}, []
+    for start in range(n):
+        if start in comp_of:
+            continue
+        comp_of[start] = len(comps)
+        comp, queue = {start}, [start]
+        while queue:
+            for w in adj[queue.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    comp_of[w] = len(comps)
+                    queue.append(w)
+        comps.append(comp)
+    for comp in comps:
+        left = set(comp)
+        while left:
+            simplicial = [
+                v for v in left
+                if all(b in adj[a] for a, b in itertools.combinations(adj[v] & left, 2))
+            ]
+            if not simplicial:
+                msgs.append(
+                    f"undirected component containing vertex {min(comp)} is not chordal"
+                )
+                break
+            left.remove(simplicial[0])
+    quotient = set()
+    for u, v in sorted(g.directed):
+        if comp_of[u] == comp_of[v]:
+            msgs.append(
+                f"directed edge {u}->{v} joins two vertices of one undirected"
+                " component (semi-directed cycle)"
+            )
+        else:
+            quotient.add((comp_of[u], comp_of[v]))
+    alive = set(range(len(comps)))
+    while True:
+        sources = {c for c in alive if not any(b == c and a in alive for a, b in quotient)}
+        if not sources:
+            break
+        alive -= sources
+    if alive:
+        msgs.append("directed edges form a cycle across undirected components")
+    return msgs
+
+
+def faulty_instance(seed):
+    """A seeded instance of two to four blocks, each a random chordal graph,
+    some with a chordless 4- or 5-cycle attached, under a random relabelling;
+    random directed edges inside and between the blocks, and claims on
+    undirected edges, directed edges, non-edges and unknown vertices."""
+    rng = random.Random(seed)
+    und, blocks, n = [], [], 0
+    for b in range(rng.randint(2, 4)):
+        size = rng.randint(1, 6)
+        g = random_chordal(GenConfig(n=size, p_range=(0.3, 0.8), seed=seed * 7 + b))
+        block = list(range(n, n + size))
+        und += [(u + n, v + n) for u, v in g.edges()]
+        n += size
+        if rng.random() < 0.2:
+            cycle = [rng.choice(block)] + list(range(n, n + rng.choice((3, 4))))
+            block += cycle[1:]
+            n += len(cycle) - 1
+            und += list(zip(cycle, cycle[1:] + cycle[:1]))
+        blocks.append(block)
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    und = {tuple(sorted((relabel[u], relabel[v]))) for u, v in und}
+    blocks = [[relabel[v] for v in block] for block in blocks]
+    dire = set()
+    for _ in range(rng.randint(0, 2 * len(blocks))):
+        if rng.random() < 0.15:
+            block = rng.choice(blocks)
+            if len(block) < 2:
+                continue
+            u, v = rng.sample(block, 2)
+        else:
+            a, b = rng.sample(blocks, 2)
+            u, v = rng.choice(a), rng.choice(b)
+        if tuple(sorted((u, v))) not in und and (v, u) not in dire:
+            dire.add((u, v))
+    edges = sorted(und) + sorted(dire)
+    claims = set()
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.random()
+        if kind < 0.8:
+            u, v = rng.choice(edges)
+            claims.add((u, v) if rng.random() < 0.5 else (v, u))
+        elif kind < 0.9:
+            claims.add(tuple(rng.sample(range(n), 2)))
+        else:
+            claims.add((rng.randrange(n), n + rng.randrange(3)))
+    return MecInstance(PartiallyDirectedGraph(n, und, dire), BackgroundKnowledge(claims))
+
+
+class TestValidateAgainstReference:
+    SEEDS = range(60)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_the_set_reference(self, seed):
+        inst = faulty_instance(seed)
+        assert validate(inst) == reference_validate(inst)
+
+    def test_the_instances_cover_every_fault(self):
+        seen = set()
+        for seed in self.SEEDS:
+            msgs = reference_validate(faulty_instance(seed))
+            seen.add("clean" if not msgs else None)
+            for m in msgs:
+                seen.add(next(
+                    word for word in ("unknown", "not an edge", "chordal", "joins", "cycle")
+                    if word in m
+                ))
+        assert seen >= {"clean", "unknown", "not an edge", "chordal", "joins", "cycle"}
 
 
 class TestMaxCliqueKnowledge:
