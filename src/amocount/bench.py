@@ -28,6 +28,8 @@ CSV_FIELDS = (
     "count_is_zero",
     "engine_version",
 )
+AGG_FIELDS = ("n", "k", "reps", "mean_time_ms", "median_time_ms")
+PAIR_FIELDS = ("n", "k", "size_1", "size_2", "time1_ms", "time2_ms")
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,15 @@ def time_count(instance: MecInstance, *, psi_cap=None):
     result = count_session(instance, psi_cap=psi_cap)
     dt = (time.perf_counter() - t0) * 1000.0
     return result, dt
+
+
+def _write_csv(path, header, rows):
+    """One header line, then each row in header order, floats to 3 decimals."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([f"{x:.3f}" if isinstance(x, float) else x for x in row])
 
 
 def _agg_path(out_csv) -> Path:
@@ -137,18 +148,8 @@ def run_bench(
             }
         )
 
-    with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_FIELDS)
-        for rec in records:
-            w.writerow(rec.row())
-    with open(_agg_path(out_csv), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "k", "reps", "mean_time_ms", "median_time_ms"])
-        for a in aggregates:
-            w.writerow(
-                [a["n"], a["k"], a["reps"], f"{a['mean_time_ms']:.3f}", f"{a['median_time_ms']:.3f}"]
-            )
+    _write_csv(out_csv, CSV_FIELDS, (rec.row() for rec in records))
+    _write_csv(_agg_path(out_csv), AGG_FIELDS, ([a[f] for f in AGG_FIELDS] for a in aggregates))
     return records, aggregates, failures
 
 
@@ -212,11 +213,5 @@ def run_pair_comparison(
                 f" t1={t1:.1f} ms t2={t2:.1f} ms"
             )
     if out_csv:
-        with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "k", "size_1", "size_2", "time1_ms", "time2_ms"])
-            for r in rows:
-                w.writerow(
-                    [r["n"], r["k"], r["size_1"], r["size_2"], f"{r['time1_ms']:.3f}", f"{r['time2_ms']:.3f}"]
-                )
+        _write_csv(out_csv, PAIR_FIELDS, ([r[f] for f in PAIR_FIELDS] for r in rows))
     return rows, failures

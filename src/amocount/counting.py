@@ -14,18 +14,21 @@ that mask, and permutation counts by endpoint set.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 from .graphs import (
     UndirectedGraph,
+    _all_cliques,
+    _claim_endpoints,
     _is_maximal_clique,
     _iter_bits,
     _lbfs,
     _mask_components,
     _masks,
     _mcs_cliques,
-    clique_tree,
+    clique_tree,  # unused here: perfbench/tracer.py hooks this module's name
 )
 from .mec import BackgroundKnowledge, InvalidInstanceError, MecInstance, validate
 
@@ -51,32 +54,6 @@ class MemoTable(dict):
         if key in self and super().__getitem__(key) != value:
             raise RuntimeError(f"memo value for {key!r} would change")
         super().__setitem__(key, value)
-
-
-class FactorialTable:
-    """Factorials 0!..n!, grown on demand."""
-
-    def __init__(self):
-        self._vals = [1]
-
-    def __getitem__(self, i: int) -> int:
-        if i < 0:
-            raise ValueError("factorial of a negative number")
-        vals = self._vals
-        if len(vals) <= i:
-            # Grow a copy and publish it whole: one table serves every
-            # session, so a reader must never see a half-grown list.
-            vals = list(vals)
-            while len(vals) <= i:
-                vals.append(vals[-1] * len(vals))
-            self._vals = vals
-        return vals[i]
-
-    def __len__(self):
-        return len(self._vals)
-
-
-_FACT = FactorialTable()  # shared by every permutation count
 
 
 @dataclass(frozen=True)
@@ -132,8 +109,9 @@ class _Host:
     """A host graph in bitmask form.
 
     Position i holds vertex ``labels[i]``; ``nbr[i]`` is its neighbour mask
-    and ``preds[i]`` the mask of sources of the claims into it.  Subproblems
-    are masks over these positions; ``full`` is the whole graph.
+    (``nbr`` is None where only permutations are counted) and ``preds[i]``
+    the mask of sources of the claims into it.  Subproblems are masks over
+    these positions; ``full`` is the whole graph.
     """
 
     __slots__ = ("labels", "bit", "nbr", "preds", "full")
@@ -156,27 +134,32 @@ class _Host:
         return [labels[i] for i in _iter_bits(mask)]
 
 
-def _linear_extension_count(members: tuple, pairs) -> int:
-    """Permutations of ``members`` placing u before v for every claim u->v.
+def _linear_extension_count(members: tuple, preds) -> int:
+    """Permutations of the host positions ``members`` placing u before v for
+    every claim u->v among them (``preds[v]`` is the mask of v's claim
+    sources).
 
     The weakly connected parts of the claim graph order independently, so
     the count is m! / (m_1! ... m_r!), the interleavings of the parts, times
     each part's own count.  Inside a part a layered dynamic program walks the
     reachable down-sets, prefixes holding every claim source of each of their
     members: layer t maps each down-set of size t to the number of orders
-    that build it, and only the current layer is kept.  A claim cycle leaves
-    its part without a down-set of full size, so the count is 0.
+    that build it, and only the current layer is kept.  The members are
+    renumbered 0..m-1 first, so down-sets are m-bit masks.  A claim cycle
+    leaves its part without a down-set of full size, so the count is 0.
     """
     m = len(members)
     idx = {v: i for i, v in enumerate(members)}
+    inside = sum(1 << v for v in members)
     pred = [0] * m
     link = [0] * m
-    for u, v in pairs:
-        a, b = idx[u], idx[v]
-        pred[b] |= 1 << a
-        link[a] |= 1 << b
-        link[b] |= 1 << a
-    interleavings = _FACT[m]
+    for b, v in enumerate(members):
+        for u in _iter_bits(preds[v] & inside):
+            a = idx[u]
+            pred[b] |= 1 << a
+            link[a] |= 1 << b
+            link[b] |= 1 << a
+    interleavings = math.factorial(m)
     product = 1
     for part in _mask_components(link, (1 << m) - 1):
         steps = [(1 << i, pred[i]) for i in _iter_bits(part)]
@@ -193,7 +176,7 @@ def _linear_extension_count(members: tuple, pairs) -> int:
             if not grown:
                 return 0
             layer = grown
-        interleavings //= _FACT[len(steps)]
+        interleavings //= math.factorial(len(steps))
         product *= layer[part]
     return interleavings * product
 
@@ -207,55 +190,54 @@ def psi(vertex_set, knowledge, *, cap: int = DEFAULT_PERMUTATION_CAP) -> int:
             raise ValueError(f"claim {u}->{v} has an endpoint outside the vertex set")
     if len(vk) > cap:
         raise PermutationCapError(len(vk), cap)
-    return _linear_extension_count(tuple(sorted(vk)), pairs)
+    host = _Host(tuple(sorted(vk)), None, pairs)
+    return _linear_extension_count(tuple(range(len(vk))), host.preds)
 
 
 class _PermCounter:
     """Shared permutation-counting caches.
 
-    Sound only while the claim set stays fixed: every query concerns the
-    restriction of one global claim set to some vertex set, so cache keys
-    can be vertex sets alone.
+    Sound only while the host and its claims stay fixed: every query
+    concerns the claims of one host restricted to some vertex mask, so cache
+    keys can be vertex sets alone.
     """
 
-    __slots__ = ("pairs", "cap", "_phi0", "_psi", "psi_evals", "phi0_evals")
+    __slots__ = ("cap", "_phi0", "_psi", "psi_evals", "phi0_evals")
 
-    def __init__(self, pairs: frozenset, cap: int):
-        self.pairs = pairs
+    def __init__(self, cap: int):
         self.cap = cap
         self._phi0 = {}
         self._psi = {}
         self.psi_evals = 0
         self.phi0_evals = 0
 
-    def psi_value(self, vk: frozenset, pairs_x) -> int:
+    def psi_value(self, vk: tuple, preds) -> int:
+        """Consistent permutations of the claim endpoints ``vk``, a tuple of
+        host positions."""
         val = self._psi.get(vk)
         if val is None:
             if len(vk) > self.cap:
                 raise PermutationCapError(len(vk), self.cap)
             self.psi_evals += 1
-            val = _linear_extension_count(tuple(sorted(vk)), pairs_x)
+            val = _linear_extension_count(vk, preds)
             self._psi[vk] = val
         return val
 
-    def phi_empty(self, x: frozenset) -> int:
-        """Consistent permutations of x, no prefix forbidden."""
+    def phi_empty(self, x: int, preds) -> int:
+        """Consistent permutations of the mask x, no prefix forbidden."""
         val = self._phi0.get(x)
         if val is None:
             self.phi0_evals += 1
-            pairs_x = [(u, v) for (u, v) in self.pairs if u in x and v in x]
-            vk = set()
-            for u, v in pairs_x:
-                vk.add(u)
-                vk.add(v)
-            vk = frozenset(vk)
-            val = _FACT[len(x)] // _FACT[len(vk)] * self.psi_value(vk, pairs_x)
+            vk = _claim_endpoints(preds, x)
+            n = x.bit_count()
+            val = math.perm(n, n - vk.bit_count()) * self.psi_value(tuple(_iter_bits(vk)), preds)
             self._phi0[x] = val
         return val
 
 
-def _phi_with_ctx(ctx: _PermCounter, host: frozenset, chain_sets: tuple, pairs_host) -> int:
-    """Consistent permutations of ``host`` avoiding every chain prefix.
+def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple, preds) -> int:
+    """Consistent permutations of the mask ``host`` avoiding every chain
+    prefix (masks inside it, smallest first).
 
     Iterative version of the standard three-case recursion: with an empty
     chain the count factors into a quotient of factorials times a
@@ -265,23 +247,22 @@ def _phi_with_ctx(ctx: _PermCounter, host: frozenset, chain_sets: tuple, pairs_h
     largest prefix are subtracted, and those factor into two independent
     subcounts.
     """
-    l = len(chain_sets)
+    l = len(chain)
     if l == 0:
-        return ctx.phi_empty(host)
-    hosts = list(chain_sets) + [host]
-    cur = [ctx.phi_empty(h) for h in hosts]
+        return ctx.phi_empty(host, preds)
+    hosts = list(chain) + [host]
+    cur = [ctx.phi_empty(h, preds) for h in hosts]
     for d in range(1, l + 1):
-        r = chain_sets[d - 1]
+        r = chain[d - 1]
+        sources = 0  # claim sources of r's members that lie outside r
+        for v in _iter_bits(r):
+            sources |= preds[v]
+        sources &= ~r
         sub = cur[d - 1]  # frozen from here on: prefixes beyond d-1 are not inside r
         for i in range(d, l + 1):
             h = hosts[i]
-            blocked = False
-            for u, v in pairs_host:
-                if v in r and u not in r and u in h:
-                    blocked = True
-                    break
-            if not blocked:
-                cur[i] = cur[i] - sub * ctx.phi_empty(h - r)
+            if not sources & h:
+                cur[i] = cur[i] - sub * ctx.phi_empty(h & ~r, preds)
     return cur[l]
 
 
@@ -295,8 +276,9 @@ def phi(vertex_set, chain, knowledge, *, psi_cap: int = DEFAULT_PERMUTATION_CAP)
     for u, v in pairs:
         if u not in s or v not in s:
             raise ValueError(f"claim {u}->{v} has an endpoint outside the host set")
-    ctx = _PermCounter(pairs, psi_cap)
-    return _phi_with_ctx(ctx, s, ch.sets, pairs)
+    host = _Host(tuple(sorted(s)), None, pairs)
+    chain_masks = tuple(map(host.mask, ch))
+    return _phi_with_ctx(_PermCounter(psi_cap), host.full, chain_masks, host.preds)
 
 
 def lbfs_background(g: UndirectedGraph, clique, knowledge) -> LbfsResult:
@@ -427,7 +409,7 @@ class CountingSession:
         pairs = _pairs_of(knowledge)
         cap = DEFAULT_PERMUTATION_CAP if psi_cap is None else psi_cap
         self.pairs = pairs
-        self.ctx = _PermCounter(pairs, cap)
+        self.ctx = _PermCounter(cap)
         self.memo = MemoTable() if memo is None else memo
         self.tree_sizes = {}  # maximal cliques of each subproblem counted here
         self.lbfs_calls = 0
@@ -435,17 +417,29 @@ class CountingSession:
         self.memo_hits = 0
 
     def count_uccg(self, g: UndirectedGraph, *, root=None) -> int:
-        clique_tree(g, root_clique=root)  # rejects non-chordal, disconnected and bad roots
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 3000 + 3 * g.n))
+        if g.n == 0:
+            raise ValueError("graph is empty")
         host = _Host(g.vertices, _masks(g)[1], self.pairs)
+        if len(_mask_components(host.nbr, host.full)) != 1:
+            raise ValueError("clique tree requires a connected graph")
+        cliques, _ = _mcs_cliques(host.nbr, host.full)
+        if not _all_cliques(host.nbr, cliques):  # see graphs._is_chordal_mask
+            raise ValueError("graph is not chordal")
+        if root is not None:
+            key = tuple(sorted(root))
+            root = host.mask(key) if g.vertex_set.issuperset(key) else 0
+            # A repeated label would carry into another bit, so count the bits.
+            if root.bit_count() != len(key) or root not in cliques:
+                raise ValueError(f"{key} is not a maximal clique of the graph")
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), 3000 + 3 * g.n))
         return self._count(host, host.full, root)
 
-    def _count(self, host: _Host, sub: int, root=None) -> int:
+    def _count(self, host: _Host, sub: int, root: int | None = None) -> int:
         """Count the connected chordal subproblem ``sub``.
 
         One MCS pass over the host's masks gives the subproblem's cliques and
-        a clique tree; ``root`` (a clique's vertices) re-roots it.  Lone
-        vertices left by a sweep count 1 and are never passed here.
+        a clique tree; ``root`` (a clique's mask) re-roots it.  Lone vertices
+        left by a sweep count 1 and are never passed here.
         """
         val = self.memo.get(sub)
         if val is not None:
@@ -454,14 +448,13 @@ class CountingSession:
         cliques, parents = _mcs_cliques(host.nbr, sub)
         self.tree_sizes[sub] = len(cliques)
         if len(cliques) == 1:
-            val = self.ctx.phi_empty(frozenset(host.vertices(sub)))
+            val = self.ctx.phi_empty(sub, host.preds)
             self.memo[sub] = val
             return val
         order = range(len(cliques))
         if root is not None:
-            order = _reroot(parents, cliques.index(host.mask(root)))
+            order = _reroot(parents, cliques.index(root))
         chains = _prefix_chains(cliques, parents, order)
-        vs = host.labels
         preds = host.preds
         total = 0
         for i, clique in enumerate(cliques):
@@ -473,14 +466,8 @@ class CountingSession:
             for h in comps:
                 if h & (h - 1):
                     prod *= self._count(host, h)
-            pairs_c = [
-                (vs[u], vs[v]) for v in _iter_bits(clique) for u in _iter_bits(preds[v] & clique)
-            ]
-            chain_sets = tuple(frozenset(host.vertices(r)) for r in chains[i])
             self.phi_chain_evals += 1
-            total += prod * _phi_with_ctx(
-                self.ctx, frozenset(host.vertices(clique)), chain_sets, pairs_c
-            )
+            total += prod * _phi_with_ctx(self.ctx, clique, chains[i], preds)
         self.memo[sub] = total
         return total
 

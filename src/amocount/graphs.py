@@ -105,23 +105,11 @@ class UndirectedGraph:
 
 def connected_components(g: UndirectedGraph) -> list[frozenset]:
     """Components as vertex sets, ordered by their smallest vertex."""
-    left = set(g.vertices)
-    comps = []
-    for start in g.vertices:
-        if start not in left:
-            continue
-        seen = {start}
-        queue = deque([start])
-        left.discard(start)
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if u in left:
-                    left.discard(u)
-                    seen.add(u)
-                    queue.append(u)
-        comps.append(frozenset(seen))
-    return comps
+    _, nbr = _masks(g)
+    vs = g.vertices
+    return [
+        frozenset(vs[i] for i in _iter_bits(c)) for c in _mask_components(nbr, (1 << g.n) - 1)
+    ]
 
 
 def _iter_bits(mask: int):
@@ -158,6 +146,19 @@ def _mask_components(nbr, mask) -> list[int]:
         comps.append(comp)
         mask ^= comp
     return comps
+
+
+def _claim_endpoints(preds, x) -> int:
+    """The vertices of the mask ``x`` that are endpoints of a claim inside it.
+
+    ``preds[v]`` is the mask of the sources of the claims into v.
+    """
+    touched = 0
+    for v in _iter_bits(x):
+        sources = preds[v] & x
+        if sources:
+            touched |= sources | 1 << v
+    return touched
 
 
 def _lbfs(nbr, sub, seed, preds, collect_components, stop_on_reject=False):
@@ -396,7 +397,7 @@ def clique_tree(g: UndirectedGraph, root_clique=None) -> RootedCliqueTree:
     """
     if g.n == 0:
         raise ValueError("graph is empty")
-    if len(connected_components(g)) != 1:
+    if len(_mask_components(_masks(g)[1], (1 << g.n) - 1)) != 1:
         raise ValueError("clique tree requires a connected graph")
     cliques = maximal_cliques(g)
     m = len(cliques)

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 from .graphs import (
     UndirectedGraph,
+    _all_cliques,
+    _claim_endpoints,
     _is_chordal_mask,
     _iter_bits,
     _mask_components,
+    _mcs_cliques,
     connected_components,
-    maximal_cliques,
 )
 
 
@@ -270,24 +272,14 @@ def max_clique_knowledge(instance: MecInstance) -> int:
     pairs = instance.knowledge.pairs
     if not pairs:
         return 0
-    best = 0
-    for comp in chordal_components(instance.graph):
-        if comp.n < 2:
-            continue
-        for clique in maximal_cliques(comp):
-            cs = frozenset(clique)
-            covered = set()
-            for u, v in pairs:
-                if u in cs and v in cs:
-                    covered.add(u)
-                    covered.add(v)
-            if len(covered) > best:
-                best = len(covered)
-    return best
-
-
-def count_amo(instance: MecInstance, *, psi_cap=None) -> int:
-    """Exact number of DAGs in the class consistent with the knowledge."""
-    from .counting import count_session
-
-    return count_session(instance, psi_cap=psi_cap).count
+    g = instance.graph
+    n = g.n
+    preds = [0] * n
+    for u, v in pairs:
+        if 0 <= u < n and 0 <= v < n:
+            preds[v] |= 1 << u
+    nbr = g.undirected_masks()
+    cliques, _ = _mcs_cliques(nbr, (1 << n) - 1)  # one pass covers every component
+    if not _all_cliques(nbr, cliques):  # see graphs._is_chordal_mask
+        raise ValueError("graph is not chordal")
+    return max(_claim_endpoints(preds, c).bit_count() for c in cliques)

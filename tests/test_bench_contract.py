@@ -3,8 +3,9 @@
 The benchmark's tracer hooks engine callables by module path and name; a
 layer whose hooks all miss is reported as absent and its metrics as null,
 while the run still exits 0.  These tests catch that before a benchmark run
-does: every traced layer must resolve, and a short traced run must print
-finite numbers for every metric.
+does: every traced layer must resolve, a short traced run must print
+finite numbers for every metric, and the set-up and correctness checks of
+every workload must run clean.
 """
 
 import importlib
@@ -15,8 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def load_tracer():
@@ -58,3 +62,19 @@ def test_short_traced_run_reports_every_metric():
         or not math.isfinite(m["value"])
     }
     assert bad == {}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_set_up_and_checks_run_clean_on_every_workload(name, monkeypatch):
+    # run.py prints its result line last and catches engine errors only inside
+    # timed operations, so an error here would cost a run its result line.
+    monkeypatch.syspath_prepend(str(BENCH))
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    amo = importlib.import_module("amocount")
+    parse = importlib.import_module("amocount.instancefile").parse_instance_text
+    seed = workloads.DEFAULT_SEED
+    pool = workloads.build(amo, name, seed, workloads.ORACLE_SPECS[name])
+    assert checks.oracle_agreement(amo, name, seed) == []
+    assert checks.path_count(amo, 60) == []
+    assert checks.edge_split(amo, parse(pool[0][0]), seed) == []

@@ -2,8 +2,6 @@
 
 import math
 import random
-import sys
-import threading
 
 import pytest
 
@@ -13,7 +11,6 @@ import amocount.mec as mec_module
 from amocount.counting import (
     DEFAULT_PERMUTATION_CAP,
     CountingSession,
-    FactorialTable,
     MemoTable,
     PermutationCapError,
     PrefixChain,
@@ -74,39 +71,6 @@ def complete(n):
 
 
 class TestTables:
-    def test_factorials(self):
-        f = FactorialTable()
-        assert f[0] == 1 and f[1] == 1 and f[5] == 120
-        assert f[10] == math.factorial(10)
-        with pytest.raises(ValueError):
-            f[-1]
-
-    def test_factorials_grow_safely_across_threads(self):
-        # one table serves every session; growing it must never publish a
-        # wrong entry to a reader in another thread
-        f = FactorialTable()
-        wrong = []
-
-        def read(seed):
-            rng = random.Random(seed)
-            for _ in range(300):
-                i = rng.randrange(400)
-                if f[i] != math.factorial(i):
-                    wrong.append(i)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=read, args=(s,)) for s in range(6)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
-        assert not wrong
-
     def test_memo_is_write_once(self):
         m = MemoTable()
         key = frozenset({1, 2})
@@ -470,6 +434,10 @@ class TestMaskCliqueTree:
         assert counts == expected
 
 
+# Added up bit by bit, (3, 3, 5, 6) would give the mask of the clique (4, 5, 6).
+BAD_ROOTS = [(2, 3), (0, 6), (0, 1, 2, 3, 4), (7,), (), (3, 3, 5, 6)]
+
+
 class TestCountUccg:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_complete_graph_law(self, n):
@@ -500,10 +468,25 @@ class TestCountUccg:
         with pytest.raises(ValueError):
             count_uccg(UndirectedGraph(4, [(0, 1), (2, 3)]), BackgroundKnowledge.empty())
 
-    @pytest.mark.parametrize("root", [(2, 3), (0, 6), (0, 1, 2, 3, 4), (7,)])
+    @pytest.mark.parametrize("root", BAD_ROOTS)
     def test_rejects_a_root_that_is_not_a_maximal_clique(self, root):
         with pytest.raises(ValueError):
             count_uccg(SEVEN, BackgroundKnowledge.empty(), root=root)
+
+    def test_input_checks_build_no_clique_tree(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("count_uccg built a clique tree or a set-based split")
+
+        monkeypatch.setattr(counting_module, "clique_tree", forbidden)
+        monkeypatch.setattr(graphs_module, "clique_tree", forbidden)
+        monkeypatch.setattr(graphs_module, "connected_components", forbidden)
+        assert count_uccg(SEVEN, BackgroundKnowledge.empty()) == 104
+        c4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        cases = [(c4, None), (UndirectedGraph(4, [(0, 1), (2, 3)]), None)]
+        cases += [(SEVEN, root) for root in BAD_ROOTS]
+        for g, root in cases:
+            with pytest.raises(ValueError):
+                count_uccg(g, BackgroundKnowledge.empty(), root=root)
 
     def test_root_choice_does_not_matter(self):
         for c in maximal_cliques(SEVEN):

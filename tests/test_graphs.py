@@ -131,6 +131,25 @@ class TestComponents:
         expect = sorted({frozenset(reach[v]) for v in range(n)}, key=min)
         assert connected_components(g) == expect
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sparse_and_negative_labels_match_a_set_bfs(self, seed):
+        rng = random.Random(7_000 + seed)
+        labels = rng.sample(range(-10**9, 10**9), rng.randint(1, 12))
+        edges = [e for e in itertools.combinations(labels, 2) if rng.random() < 0.2]
+        g = UndirectedGraph.from_vertices(labels, edges)
+        expect, left = [], set(labels)
+        for start in sorted(labels):
+            if start in left:
+                seen, queue = {start}, [start]
+                while queue:
+                    for u in g.neighbors(queue.pop()):
+                        if u not in seen:
+                            seen.add(u)
+                            queue.append(u)
+                left -= seen
+                expect.append(frozenset(seen))
+        assert connected_components(g) == expect
+
 
 class TestLbfs:
     @pytest.mark.parametrize("seed", range(25))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from amocount.counting import count_session
 from amocount.generators import GenConfig, random_chordal
 from amocount.mec import (
     BackgroundKnowledge,
@@ -12,7 +13,6 @@ from amocount.mec import (
     MecInstance,
     PartiallyDirectedGraph,
     chordal_components,
-    count_amo,
     max_clique_knowledge,
     validate,
 )
@@ -361,39 +361,34 @@ class TestMaxCliqueKnowledge:
         assert max_clique_knowledge(MecInstance(SEVEN, k)) == 2
 
 
+def count(graph, claims):
+    return count_session(MecInstance(graph, BackgroundKnowledge(claims))).count
+
+
 class TestCountAmo:
+    """Whole-instance counts of acyclic moral orientations (AMOs)."""
+
     def test_two_component_counts(self):
-        assert count_amo(MecInstance(TWO_COMPONENT, BackgroundKnowledge.empty())) == 12
-        assert (
-            count_amo(MecInstance(TWO_COMPONENT, BackgroundKnowledge([(0, 1), (4, 3), (5, 3)])))
-            == 2
-        )
-        assert (
-            count_amo(MecInstance(TWO_COMPONENT, BackgroundKnowledge([(0, 1), (4, 3)])))
-            == 3
-        )
+        assert count(TWO_COMPONENT, []) == 12
+        assert count(TWO_COMPONENT, [(0, 1), (4, 3), (5, 3)]) == 2
+        assert count(TWO_COMPONENT, [(0, 1), (4, 3)]) == 3
 
     def test_seven_vertex_counts(self):
-        assert count_amo(MecInstance(SEVEN, BackgroundKnowledge.empty())) == 104
-        assert count_amo(MecInstance(SEVEN, BackgroundKnowledge([(0, 1), (2, 5)]))) == 32
-        k = BackgroundKnowledge([(0, 1), (1, 2), (0, 2), (2, 5), (3, 5), (5, 6)])
-        assert count_amo(MecInstance(SEVEN, k)) == 8
+        assert count(SEVEN, []) == 104
+        assert count(SEVEN, [(0, 1), (2, 5)]) == 32
+        assert count(SEVEN, [(0, 1), (1, 2), (0, 2), (2, 5), (3, 5), (5, 6)]) == 8
 
     def test_reversal_of_directed_edge_gives_zero(self):
-        assert count_amo(MecInstance(TWO_COMPONENT, BackgroundKnowledge([(2, 0)]))) == 0
+        assert count(TWO_COMPONENT, [(2, 0)]) == 0
 
     def test_redundant_claim_on_directed_edge(self):
-        assert (
-            count_amo(MecInstance(TWO_COMPONENT, BackgroundKnowledge([(0, 2)]))) == 12
-        )
+        assert count(TWO_COMPONENT, [(0, 2)]) == 12
 
     def test_contradictory_claims_give_zero(self):
-        assert (
-            count_amo(MecInstance(SEVEN, BackgroundKnowledge([(0, 1), (1, 0)]))) == 0
-        )
+        assert count(SEVEN, [(0, 1), (1, 0)]) == 0
 
     def test_invalid_instance_raises(self):
         g = PartiallyDirectedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [])
         with pytest.raises(InvalidInstanceError) as e:
-            count_amo(MecInstance(g, BackgroundKnowledge.empty()))
+            count(g, [])
         assert e.value.violations
