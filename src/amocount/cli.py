@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .bench import make_instance, run_bench, run_pair_comparison
+from .bench import run_bench, run_pair_comparison
 from .counting import DEFAULT_PERMUTATION_CAP, PermutationCapError, count_session
 from .generators import GenConfig, GenerationError, gen_background, random_chordal_with_stats
 from .instancefile import (

@@ -8,14 +8,15 @@ times the product of recursive counts on the subproblems the sweep leaves
 behind.  Subproblems are vertex masks over one host graph, whose neighbour
 masks an instance builds once (``PartiallyDirectedGraph.undirected_masks``),
 and no graph is ever built: one maximum cardinality search over the host's
-masks gives a subproblem's cliques and clique tree.  Results are memoized by
+masks gives a subproblem's cliques and clique tree, and the instance's one
+search over its whole undirected part gives every component's
+(``PartiallyDirectedGraph.undirected_trees``).  Results are memoized by
 that mask, and permutation counts by endpoint set.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .graphs import (
@@ -326,35 +327,34 @@ def forbidden_prefixes(tree, clique) -> PrefixChain:
     return PrefixChain(ordered)
 
 
-def _reroot(parents: list, root: int) -> list:
-    """Re-root a clique tree at clique ``root``, in place.
+def _reroot(cliques: list, parents: list, root: int) -> tuple[list, list]:
+    """The clique tree re-rooted at clique ``root``, as new lists.
 
     ``parents`` lists each clique's parent (None at the root), parents before
     their children.  The links on the path from ``root`` to the old root are
-    reversed; the returned order again puts every parent before its
-    children: that path first, then the other cliques in their old order.
+    reversed, and the cliques are renumbered so that parents again come
+    first: that path, then the other cliques in their old order.
     """
     path = [root]
     while parents[path[-1]] is not None:
         path.append(parents[path[-1]])
-    for child, old_parent in zip(path, path[1:]):
-        parents[old_parent] = child
-    parents[root] = None
     on_path = set(path)
-    return path + [i for i in range(len(parents)) if i not in on_path]
+    order = path + [i for i in range(len(parents)) if i not in on_path]
+    new = {old: i for i, old in enumerate(order)}
+    ups = [None, *range(len(path) - 1)] + [new[parents[i]] for i in order[len(path):]]
+    return [cliques[i] for i in order], ups
 
 
-def _prefix_chains(cliques: list, parents: list, order) -> list:
+def _prefix_chains(cliques: list, parents: list) -> list:
     """Every clique's forbidden-prefix chain, as masks, in one top-down pass.
 
     Mask form of ``forbidden_prefixes``: a clique's chain is its parent's
     chain cut to the separators that lie inside the clique, then the
     separator to the parent, which holds all of them (the running
-    intersection property).  ``order`` visits parents before children.
+    intersection property).  Parents come before their children.
     """
     chains = [()] * len(cliques)
-    for i in order:
-        p = parents[i]
+    for i, p in enumerate(parents):
         if p is not None:
             clique = cliques[i]
             sep = clique & cliques[p]
@@ -411,50 +411,37 @@ class CountingSession:
         self.pairs = pairs
         self.ctx = _PermCounter(cap)
         self.memo = MemoTable() if memo is None else memo
-        self.tree_sizes = {}  # maximal cliques of each subproblem counted here
         self.lbfs_calls = 0
         self.phi_chain_evals = 0
         self.memo_hits = 0
 
-    def count_uccg(self, g: UndirectedGraph, *, root=None) -> int:
-        if g.n == 0:
-            raise ValueError("graph is empty")
-        host = _Host(g.vertices, _masks(g)[1], self.pairs)
-        if len(_mask_components(host.nbr, host.full)) != 1:
-            raise ValueError("clique tree requires a connected graph")
-        cliques, _ = _mcs_cliques(host.nbr, host.full)
-        if not _all_cliques(host.nbr, cliques):  # see graphs._is_chordal_mask
-            raise ValueError("graph is not chordal")
-        if root is not None:
-            key = tuple(sorted(root))
-            root = host.mask(key) if g.vertex_set.issuperset(key) else 0
-            # A repeated label would carry into another bit, so count the bits.
-            if root.bit_count() != len(key) or root not in cliques:
-                raise ValueError(f"{key} is not a maximal clique of the graph")
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 3000 + 3 * g.n))
-        return self._count(host, host.full, root)
-
-    def _count(self, host: _Host, sub: int, root: int | None = None) -> int:
+    def _count(self, host: _Host, sub: int, tree: tuple | None = None) -> int:
         """Count the connected chordal subproblem ``sub``.
 
-        One MCS pass over the host's masks gives the subproblem's cliques and
-        a clique tree; ``root`` (a clique's mask) re-roots it.  Lone vertices
-        left by a sweep count 1 and are never passed here.
+        ``tree`` is its ``(cliques, parents)`` where the caller has them,
+        parents listed before their children; otherwise one MCS pass over the
+        host's masks gives them on a memo miss.  Lone vertices left by a
+        sweep count 1 and are never passed here.
+
+        From a subproblem of two or more vertices the recursion is at most
+        w - 1 calls deep, w the size of the largest clique.  A subproblem
+        lies in one front cell of its parent's sweep, and the vertices of
+        that cell share a nonempty set of earlier neighbours, so some vertex
+        x of the parent is adjacent to the whole subproblem.  Each level's x
+        lies inside every subproblem above it, so the x of all levels are
+        pairwise adjacent, and with an edge of the deepest subproblem
+        (connected, two or more vertices) they form a clique.
         """
         val = self.memo.get(sub)
         if val is not None:
             self.memo_hits += 1
             return val
-        cliques, parents = _mcs_cliques(host.nbr, sub)
-        self.tree_sizes[sub] = len(cliques)
+        cliques, parents = _mcs_cliques(host.nbr, sub) if tree is None else tree
         if len(cliques) == 1:
             val = self.ctx.phi_empty(sub, host.preds)
             self.memo[sub] = val
             return val
-        order = range(len(cliques))
-        if root is not None:
-            order = _reroot(parents, cliques.index(root))
-        chains = _prefix_chains(cliques, parents, order)
+        chains = _prefix_chains(cliques, parents)
         preds = host.preds
         total = 0
         for i, clique in enumerate(cliques):
@@ -500,8 +487,23 @@ def count_uccg(
     for u, v in pairs:
         if u not in g.vertex_set or v not in g.vertex_set or not g.has_edge(u, v):
             raise ValueError(f"claim {u}->{v} is not an edge of the graph")
+    if g.n == 0:
+        raise ValueError("graph is empty")
+    host = _Host(g.vertices, _masks(g)[1], pairs)
+    cliques, parents = _mcs_cliques(host.nbr, host.full)
+    if parents.count(None) != 1:  # each component starts with a parentless clique
+        raise ValueError("clique tree requires a connected graph")
+    if not _all_cliques(host.nbr, cliques):  # see graphs._all_cliques
+        raise ValueError("graph is not chordal")
+    if root is not None:
+        key = tuple(sorted(root))
+        root = host.mask(key) if g.vertex_set.issuperset(key) else 0
+        # A repeated label would carry into another bit, so count the bits.
+        if root.bit_count() != len(key) or root not in cliques:
+            raise ValueError(f"{key} is not a maximal clique of the graph")
+        cliques, parents = _reroot(cliques, parents, cliques.index(root))
     session = CountingSession(pairs, psi_cap=psi_cap, memo=memo)
-    return session.count_uccg(g, root=root)
+    return session._count(host, host.full, (cliques, parents))
 
 
 def count_session(instance: MecInstance, *, psi_cap: int | None = None) -> SessionResult:
@@ -519,18 +521,17 @@ def count_session(instance: MecInstance, *, psi_cap: int | None = None) -> Sessi
     if any((v, u) in graph.directed for (u, v) in instance.knowledge):
         count = 0  # a claim reverses one of the graph's own directed edges
     else:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 3000 + 3 * graph.n))
         # One host over the whole undirected part keeps the masks of all
         # components in one bit space, so they share the memo soundly.
         host = _Host(range(graph.n), graph.undirected_masks(), session.pairs)
         count = 1
-        for sub in _mask_components(host.nbr, host.full):
+        for sub, cliques, parents in graph.undirected_trees():
             before = len(session.memo)
-            count *= session._count(host, sub)
+            count *= session._count(host, sub, (cliques, parents))
             comp_stats.append(
                 ComponentStats(
                     vertices=sub.bit_count(),
-                    maximal_cliques=session.tree_sizes[sub],
+                    maximal_cliques=len(cliques),
                     distinct_subproblems=len(session.memo) - before,
                 )
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import UndirectedGraph, _iter_bits, clique_tree, maximal_cliques
+from .graphs import UndirectedGraph, _iter_bits, _mask_components, clique_tree, maximal_cliques
 from .mec import BackgroundKnowledge
 
 
@@ -30,7 +30,6 @@ class GenConfig:
 
     n: int
     p_range: tuple = (0.1, 0.3)
-    k_target: int | None = None
     seed: int = 0
     max_attempts: int = 1000
 
@@ -40,22 +39,6 @@ class GenConfig:
         lo, hi = self.p_range
         if not (0.0 < lo <= hi < 1.0):
             raise ValueError("edge probability range must satisfy 0 < lo <= hi < 1")
-        if self.k_target is not None and self.k_target < 2:
-            raise ValueError("knowledge parameter must be at least 2")
-
-
-def _connected(adj: list, n: int) -> bool:
-    if n == 1:
-        return True
-    visited = 1
-    frontier = 1
-    while frontier:
-        new = 0
-        for v in _iter_bits(frontier):
-            new |= adj[v]
-        frontier = new & ~visited
-        visited |= frontier
-    return visited == (1 << n) - 1
 
 
 def random_chordal_with_stats(cfg: GenConfig) -> tuple:
@@ -80,7 +63,7 @@ def random_chordal_with_stats(cfg: GenConfig) -> tuple:
             lower = adj[x] & suffix[i + 1]
             for u in _iter_bits(lower):
                 adj[u] |= lower & ~(1 << u)
-        if not _connected(adj, n):
+        if len(_mask_components(adj, (1 << n) - 1)) != 1:
             continue
         edges = [
             (i, j) for i in range(n) for j in _iter_bits(adj[i] >> (i + 1) << (i + 1))

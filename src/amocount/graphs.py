@@ -229,24 +229,19 @@ def lbfs_order(g: UndirectedGraph) -> list:
     return [g.vertices[i] for i in order]
 
 
-def _is_chordal_mask(nbr, sub) -> bool:
-    """Chordality of the subgraph on the mask ``sub``.
-
-    Runs maximum cardinality search (``_mcs_cliques``) and checks that every
-    vertex set it closes is a clique.  On a chordal graph they are its
-    maximal cliques (Tarjan and Yannakakis 1984).  Conversely, when every
-    set is a clique, so is each vertex's set of earlier-numbered neighbours:
-    a vertex that opens a set brings exactly those neighbours into it, and a
-    vertex that grows the open set outweighs the previous vertex by one, so
-    its earlier neighbours are as many as the open set holds and, being
-    adjacent to all of it, are that set.  The search order reversed is then
-    a perfect elimination ordering.
-    """
-    return _all_cliques(nbr, _mcs_cliques(nbr, sub)[0])
-
-
 def _all_cliques(nbr, masks) -> bool:
-    """Whether every mask in ``masks`` is a clique."""
+    """Whether every mask in ``masks`` is a clique.
+
+    Given the vertex sets that maximum cardinality search (``_mcs_cliques``)
+    closes on a graph, this is a chordality test.  On a chordal graph they
+    are its maximal cliques (Tarjan and Yannakakis 1984).  Conversely, when
+    every set is a clique, so is each vertex's set of earlier-numbered
+    neighbours: a vertex that opens a set brings exactly those neighbours
+    into it, and a vertex that grows the open set outweighs the previous
+    vertex by one, so its earlier neighbours are as many as the open set
+    holds and, being adjacent to all of it, are that set.  The search order
+    reversed is then a perfect elimination ordering.
+    """
     for clique in masks:
         rest = clique
         while rest:
@@ -260,7 +255,7 @@ def _all_cliques(nbr, masks) -> bool:
 def is_chordal(g: UndirectedGraph) -> bool:
     """Whether ``g`` is chordal."""
     _, nbr = _masks(g)
-    return _is_chordal_mask(nbr, (1 << g.n) - 1)
+    return _all_cliques(nbr, _mcs_cliques(nbr, (1 << g.n) - 1)[0])
 
 
 def _mcs_cliques(nbr, sub) -> tuple[list[int], list]:
@@ -334,7 +329,7 @@ def maximal_cliques(g: UndirectedGraph) -> list[tuple[int, ...]]:
         return []
     _, nbr = _masks(g)
     cliques, _ = _mcs_cliques(nbr, (1 << g.n) - 1)
-    if not _all_cliques(nbr, cliques):  # see _is_chordal_mask
+    if not _all_cliques(nbr, cliques):
         raise ValueError("graph is not chordal")
     vs = g.vertices
     return sorted(tuple(vs[i] for i in _iter_bits(c)) for c in cliques)

@@ -15,9 +15,7 @@ from .graphs import (
     UndirectedGraph,
     _all_cliques,
     _claim_endpoints,
-    _is_chordal_mask,
     _iter_bits,
-    _mask_components,
     _mcs_cliques,
     connected_components,
 )
@@ -87,7 +85,8 @@ class PartiallyDirectedGraph:
     """
 
     __slots__ = (
-        "n", "undirected", "directed", "_skeleton_adj", "_undirected_part", "_undirected_masks"
+        "n", "undirected", "directed", "_skeleton_adj", "_undirected_part",
+        "_undirected_masks", "_undirected_trees",
     )
 
     def __init__(self, n: int, undirected=(), directed=()):
@@ -118,6 +117,7 @@ class PartiallyDirectedGraph:
         self._skeleton_adj = None
         self._undirected_part = None
         self._undirected_masks = None
+        self._undirected_trees = None
 
     @property
     def skeleton_pairs(self) -> frozenset:
@@ -150,6 +150,27 @@ class PartiallyDirectedGraph:
                 bits[v].append(bit[u])
             self._undirected_masks = tuple(map(sum, bits))
         return self._undirected_masks
+
+    def undirected_trees(self) -> tuple:
+        """One ``(mask, cliques, parents)`` per component of the undirected
+        part, by lowest vertex: what ``_mcs_cliques`` gives for the
+        component's mask, all from one search over the whole part.  The
+        search numbers a component completely before it leaves it and starts
+        each at its lowest vertex, so the parentless cliques cut its output
+        into the per-component results."""
+        if self._undirected_trees is None:
+            trees = []
+            if self.n:
+                cliques, parents = _mcs_cliques(self.undirected_masks(), (1 << self.n) - 1)
+                starts = [i for i, p in enumerate(parents) if p is None]
+                for a, b in zip(starts, starts[1:] + [len(cliques)]):
+                    part = cliques[a:b]
+                    mask = 0
+                    for c in part:
+                        mask |= c
+                    trees.append((mask, part, [p if p is None else p - a for p in parents[a:b]]))
+            self._undirected_trees = tuple(trees)
+        return self._undirected_trees
 
     @property
     def is_fully_directed(self) -> bool:
@@ -221,12 +242,12 @@ def validate(instance: MecInstance) -> list[str]:
             msgs.append(f"knowledge claim {u}->{v} is not an edge of the graph")
 
     nbr = g.undirected_masks()
-    comps = _mask_components(nbr, (1 << n) - 1)
+    trees = g.undirected_trees()
     comp_of = [0] * n
-    for ci, comp in enumerate(comps):
+    for ci, (comp, cliques, _) in enumerate(trees):
         for v in _iter_bits(comp):
             comp_of[v] = ci
-        if comp & (comp - 1) and not _is_chordal_mask(nbr, comp):
+        if not _all_cliques(nbr, cliques):
             msgs.append(
                 f"undirected component containing vertex {(comp & -comp).bit_length() - 1}"
                 " is not chordal"
@@ -243,8 +264,8 @@ def validate(instance: MecInstance) -> list[str]:
             quotient_edges.add((comp_of[u], comp_of[v]))
 
     # Kahn's algorithm on the component quotient.
-    indeg = {i: 0 for i in range(len(comps))}
-    succ = {i: [] for i in range(len(comps))}
+    indeg = {i: 0 for i in range(len(trees))}
+    succ = {i: [] for i in range(len(trees))}
     for a, b in quotient_edges:
         succ[a].append(b)
         indeg[b] += 1
@@ -257,7 +278,7 @@ def validate(instance: MecInstance) -> list[str]:
             indeg[b] -= 1
             if indeg[b] == 0:
                 ready.append(b)
-    if seen != len(comps):
+    if seen != len(trees):
         msgs.append("directed edges form a cycle across undirected components")
     return msgs
 
@@ -278,8 +299,7 @@ def max_clique_knowledge(instance: MecInstance) -> int:
     for u, v in pairs:
         if 0 <= u < n and 0 <= v < n:
             preds[v] |= 1 << u
-    nbr = g.undirected_masks()
-    cliques, _ = _mcs_cliques(nbr, (1 << n) - 1)  # one pass covers every component
-    if not _all_cliques(nbr, cliques):  # see graphs._is_chordal_mask
+    cliques = [c for _, part, _ in g.undirected_trees() for c in part]
+    if not _all_cliques(g.undirected_masks(), cliques):
         raise ValueError("graph is not chordal")
-    return max(_claim_endpoints(preds, c).bit_count() for c in cliques)
+    return max((_claim_endpoints(preds, c).bit_count() for c in cliques), default=0)

@@ -1,7 +1,10 @@
 """The counting core: permutation counts, the LBFS sweep, the recursion."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -378,18 +381,21 @@ class TestMaskCliqueTree:
         def labels(mask):
             return tuple(vs[i] for i in _iter_bits(mask))
 
+        def edges(cliques, parents):
+            return {frozenset((cliques[i], cliques[p])) for i, p in enumerate(parents) if p is not None}
+
         for sub in subs:
-            cliques, base = _mcs_cliques(nbr, sub)
-            nodes = tuple(labels(c) for c in cliques)
-            for root in range(len(cliques)):
-                parents = list(base)
-                order = _reroot(parents, root)
-                assert sorted(order) == list(range(len(cliques)))
-                assert root or order == list(range(len(cliques)))
-                rank = {i: k for k, i in enumerate(order)}
-                assert all(p is None or rank[p] < rank[i] for i, p in enumerate(parents))
-                tree = RootedCliqueTree(nodes, tuple(parents), root)
-                chains = _prefix_chains(cliques, parents, order)
+            base_cliques, base = _mcs_cliques(nbr, sub)
+            for root in range(len(base_cliques)):
+                cliques, parents = _reroot(base_cliques, base, root)
+                assert sorted(cliques) == sorted(base_cliques)
+                assert cliques[0] == base_cliques[root] and parents[0] is None
+                assert all(parents[i] < i for i in range(1, len(parents)))
+                assert edges(cliques, parents) == edges(base_cliques, base)
+                assert root or (cliques, parents) == (base_cliques, base)
+                nodes = tuple(labels(c) for c in cliques)
+                tree = RootedCliqueTree(nodes, tuple(parents), 0)
+                chains = _prefix_chains(cliques, parents)
                 for i, node in enumerate(nodes):
                     expected = forbidden_prefixes(tree, node)
                     assert PrefixChain(labels(r) for r in chains[i]) == expected, (seed, sub, root, i)
@@ -562,3 +568,130 @@ class TestCountSession:
         assert res.stats.within_recursion_bound()
         for comp in res.stats.components:
             assert comp.distinct_subproblems <= 2 * comp.maximal_cliques - 1
+
+
+def counted_mcs(monkeypatch):
+    """Record the mask of every ``_mcs_cliques`` call made through the
+    modules that import it."""
+    calls = []
+    inner = graphs_module._mcs_cliques
+
+    def counted(nbr, sub):
+        calls.append(sub)
+        return inner(nbr, sub)
+
+    for module in (graphs_module, mec_module, counting_module):
+        monkeypatch.setattr(module, "_mcs_cliques", counted)
+    return calls
+
+
+class TestOneForest:
+    """One maximum cardinality search over the undirected part serves
+    validation, the component split and every component's top-level tree."""
+
+    def test_cliques_and_lone_vertices_take_one_search(self, monkeypatch):
+        # the triangle {0, 1, 2}, the 4-clique {3, 4, 5, 6}, the lone vertex 7
+        # and the edge 8-9
+        und = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6), (8, 9)]
+        k = BackgroundKnowledge([(0, 1), (3, 4), (5, 4), (9, 8)])
+        inst = MecInstance(PartiallyDirectedGraph(10, und, []), k)
+        expected = len(enumerate_amos(inst.graph, k, cap=10))
+        calls = counted_mcs(monkeypatch)
+        res = count_session(inst)
+        assert res.count == expected == 3 * 8 * 1 * 1
+        assert calls == [(1 << 10) - 1]
+        assert [c.maximal_cliques for c in res.stats.components] == [1, 1, 1, 1]
+
+    def test_count_uccg_on_a_path_takes_one_search(self, monkeypatch):
+        calls = counted_mcs(monkeypatch)
+        p5 = UndirectedGraph(5, [(i, i + 1) for i in range(4)])
+        assert count_uccg(p5, BackgroundKnowledge([(1, 2)])) == 2  # the source is 0 or 1
+        assert calls == [0b11111]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_one_search_plus_one_per_missed_subproblem(self, seed, monkeypatch):
+        inst = random_chain_instance(seed) if seed % 2 else uccg_instance(random_uccg(seed, 4, 12))
+        calls = counted_mcs(monkeypatch)
+        stats = count_session(inst).stats
+        assert calls[0] == (1 << inst.graph.n) - 1
+        assert len(calls) == 1 + stats.distinct_subproblems - len(stats.components)
+
+
+def fan(levels):
+    """Level 0 is one vertex; each level joins a new vertex to every vertex
+    of two disjoint copies of the level below.  Level k has 2**(k+1) - 1
+    vertices and largest clique k + 1."""
+    n, edges = 1, []
+    for _ in range(levels):
+        edges = (
+            [(0, v) for v in range(1, 2 * n + 1)]
+            + [(u + 1, v + 1) for u, v in edges]
+            + [(u + n + 1, v + n + 1) for u, v in edges]
+        )
+        n = 2 * n + 1
+    return UndirectedGraph(n, edges)
+
+
+def measured_depth(monkeypatch):
+    """Track the deepest nesting of ``CountingSession._count`` calls."""
+    inner = CountingSession._count
+    depth = {"now": 0, "max": 0}
+
+    def counted(self, *args):
+        depth["now"] += 1
+        depth["max"] = max(depth["max"], depth["now"])
+        try:
+            return inner(self, *args)
+        finally:
+            depth["now"] -= 1
+
+    monkeypatch.setattr(CountingSession, "_count", counted)
+    return depth
+
+
+class TestRecursionDepth:
+    """``_count`` recurses at most w - 1 deep, w the largest clique size."""
+
+    @pytest.mark.parametrize("levels", range(1, 7))
+    def test_fan_graphs_reach_the_bound(self, levels, monkeypatch):
+        g = fan(levels)
+        omega = max(map(len, maximal_cliques(g)))
+        assert (g.n, omega) == (2 ** (levels + 1) - 1, levels + 1)
+        depth = measured_depth(monkeypatch)
+        count_session(uccg_instance(g))
+        assert depth["max"] == omega - 1
+        depth["max"] = 0
+        count_uccg(g, BackgroundKnowledge.empty())
+        assert depth["max"] == omega - 1
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_instances_stay_within_the_bound(self, seed, monkeypatch):
+        inst = random_chain_instance(seed) if seed % 2 else uccg_instance(random_uccg(seed, 4, 14))
+        omega = max(map(len, maximal_cliques(inst.graph.undirected_part())))
+        depth = measured_depth(monkeypatch)
+        count_session(inst)
+        # a lone-vertex component is one call deep
+        assert depth["max"] <= max(omega - 1, 1)
+
+    def test_counting_leaves_the_recursion_limit_alone(self):
+        script = (
+            "import sys\n"
+            "from amocount.counting import count_session, count_uccg\n"
+            "from amocount.graphs import UndirectedGraph\n"
+            "from amocount.mec import BackgroundKnowledge, MecInstance, PartiallyDirectedGraph\n"
+            "path = [(i, i + 1) for i in range(121)]\n"
+            "limits = [sys.getrecursionlimit()]\n"
+            "inst = MecInstance(PartiallyDirectedGraph(122, path), BackgroundKnowledge())\n"
+            "assert count_session(inst).count == 122\n"
+            "limits.append(sys.getrecursionlimit())\n"
+            "assert count_uccg(UndirectedGraph(122, path), BackgroundKnowledge()) == 122\n"
+            "limits.append(sys.getrecursionlimit())\n"
+            "print(*limits)\n"
+        )
+        src = os.path.dirname(os.path.dirname(counting_module.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        before, after_session, after_uccg = map(int, out.stdout.split())
+        assert after_session == before and after_uccg == before

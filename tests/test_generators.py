@@ -27,7 +27,6 @@ class TestGenConfig:
     def test_defaults(self):
         cfg = GenConfig(n=10)
         assert cfg.p_range == (0.1, 0.3)
-        assert cfg.k_target is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -36,7 +35,6 @@ class TestGenConfig:
             {"n": 5, "p_range": (0.0, 0.3)},
             {"n": 5, "p_range": (0.4, 0.2)},
             {"n": 5, "p_range": (0.1, 1.0)},
-            {"n": 5, "k_target": 1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -7,6 +7,7 @@ import pytest
 
 from amocount.counting import count_session
 from amocount.generators import GenConfig, random_chordal
+from amocount.graphs import _mask_components, _mcs_cliques
 from amocount.mec import (
     BackgroundKnowledge,
     InvalidInstanceError,
@@ -16,6 +17,7 @@ from amocount.mec import (
     max_clique_knowledge,
     validate,
 )
+from conftest import random_chain_instance
 
 # two undirected components {0,1} and {3,4,5}, all directed edges into 2
 TWO_COMPONENT = PartiallyDirectedGraph(
@@ -331,6 +333,57 @@ class TestValidateAgainstReference:
                     if word in m
                 ))
         assert seen >= {"clean", "unknown", "not an edge", "chordal", "joins", "cycle"}
+
+
+def per_component_trees(graph):
+    """``_mcs_cliques`` run on each component of the undirected part."""
+    nbr = graph.undirected_masks()
+    comps = _mask_components(nbr, (1 << graph.n) - 1)
+    return tuple((comp, *_mcs_cliques(nbr, comp)) for comp in comps)
+
+
+class TestUndirectedTrees:
+    """One search over the whole undirected part, cut at the parentless
+    cliques, gives what a search per component gives."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_chain_instances(self, seed):
+        graph = random_chain_instance(seed).graph
+        assert len(graph.undirected_trees()) >= 2
+        assert graph.undirected_trees() == per_component_trees(graph)
+
+    # these include chordless cycles (test_the_instances_cover_every_fault)
+    @pytest.mark.parametrize("seed", TestValidateAgainstReference.SEEDS)
+    def test_validate_reference_instances(self, seed):
+        graph = faulty_instance(seed).graph
+        assert graph.undirected_trees() == per_component_trees(graph)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            PartiallyDirectedGraph(0),
+            PartiallyDirectedGraph(1),
+            PartiallyDirectedGraph(5),
+            PartiallyDirectedGraph(3, [], [(0, 1), (1, 2)]),
+            TWO_COMPONENT,
+            SEVEN,
+        ],
+    )
+    def test_small_graphs(self, graph):
+        trees = graph.undirected_trees()
+        assert trees == per_component_trees(graph)
+        assert graph.undirected_trees() is trees
+        assert [mask for mask, _, _ in trees] == [
+            sum(1 << v for v in c.vertex_set) for c in chordal_components(graph)
+        ]
+
+    def test_lone_vertices_are_one_clique_each(self):
+        assert PartiallyDirectedGraph(0).undirected_trees() == ()
+        assert PartiallyDirectedGraph(3).undirected_trees() == (
+            (0b1, [0b1], [None]),
+            (0b10, [0b10], [None]),
+            (0b100, [0b100], [None]),
+        )
 
 
 class TestMaxCliqueKnowledge:
