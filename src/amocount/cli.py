@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 comparison mismatch or partial benchmark failure,
 2 parse or validation error, 3 permutation/oracle cap exceeded, 4 generation
 failure.  The AMOCOUNT_PSI_CAP environment variable sets the default
-permutation cap; --psi-cap overrides it.
+permutation cap; --psi-cap overrides it.  A cap must be a nonnegative
+integer.
 """
 
 from __future__ import annotations
@@ -43,14 +44,28 @@ EXIT_GENERATION = 4
 PSI_CAP_ENV = "AMOCOUNT_PSI_CAP"
 
 
+def _cap(raw: str) -> int:
+    """A permutation cap: a nonnegative integer."""
+    try:
+        cap = int(raw)
+        if cap >= 0:
+            return cap
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a nonnegative integer: {raw!r}")
+
+
 def _default_psi_cap() -> int:
     raw = os.environ.get(PSI_CAP_ENV)
     if raw is None:
         return DEFAULT_PERMUTATION_CAP
     try:
-        return int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer {PSI_CAP_ENV}={raw!r}", file=sys.stderr)
+        return _cap(raw)
+    except argparse.ArgumentTypeError:
+        print(
+            f"warning: ignoring {PSI_CAP_ENV}={raw!r}, not a nonnegative integer",
+            file=sys.stderr,
+        )
         return DEFAULT_PERMUTATION_CAP
 
 
@@ -72,6 +87,7 @@ def _print_stats(result, elapsed_ms):
             file=err,
         )
     print(f"lbfs sweeps: {stats.lbfs_calls}", file=err)
+    print(f"lbfs vertices: {stats.lbfs_vertices}", file=err)
     print(f"clique permutation counts: {stats.phi_chain_evaluations}", file=err)
     print(f"prefix-free counts: {stats.phi_empty_evaluations}", file=err)
     print(f"consistency counts: {stats.psi_evaluations}", file=err)
@@ -180,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cap_kwargs = dict(type=int, default=_default_psi_cap(), metavar="N")
+    cap_kwargs = dict(type=_cap, default=_default_psi_cap(), metavar="N")
 
     p = sub.add_parser("count", help="count an instance file exactly")
     p.add_argument("instance")

@@ -112,20 +112,31 @@ class _Host:
     Position i holds vertex ``labels[i]``; ``nbr[i]`` is its neighbour mask
     (``nbr`` is None where only permutations are counted) and ``preds[i]``
     the mask of sources of the claims into it.  Subproblems are masks over
-    these positions; ``full`` is the whole graph.
+    these positions; ``full`` is the whole graph.  ``targets`` is the mask
+    of claim targets, and ``live`` adds the vertices of every clique of
+    three or more vertices in ``cliques``.  Given all maximal cliques of the
+    graph, those are the vertices on a triangle, and a counting sweep may
+    end once no unvisited vertex is live (see ``graphs._lbfs``).
     """
 
-    __slots__ = ("labels", "bit", "nbr", "preds", "full")
+    __slots__ = ("labels", "bit", "nbr", "preds", "full", "targets", "live")
 
-    def __init__(self, labels, nbr, pairs):
+    def __init__(self, labels, nbr, pairs, cliques=()):
         self.labels = labels
         self.bit = bit = {v: 1 << i for i, v in enumerate(labels)}
         self.nbr = nbr
         self.full = (1 << len(labels)) - 1
         self.preds = preds = [0] * len(labels)
+        targets = 0
         for u, v in pairs:
             if u in bit and v in bit:
                 preds[bit[v].bit_length() - 1] |= bit[u]
+                targets |= bit[v]
+        self.targets = live = targets
+        for c in cliques:
+            if c.bit_count() > 2:
+                live |= c
+        self.live = live
 
     def mask(self, vertices) -> int:
         return sum(map(self.bit.__getitem__, vertices))
@@ -182,8 +193,15 @@ def _linear_extension_count(members: tuple, preds) -> int:
     return interleavings * product
 
 
+def _checked_cap(cap: int) -> int:
+    if cap < 0:
+        raise ValueError(f"permutation cap must be nonnegative, got {cap}")
+    return cap
+
+
 def psi(vertex_set, knowledge, *, cap: int = DEFAULT_PERMUTATION_CAP) -> int:
     """Number of permutations of ``vertex_set`` consistent with the claims."""
+    _checked_cap(cap)
     vk = frozenset(vertex_set)
     pairs = _pairs_of(knowledge)
     for u, v in pairs:
@@ -206,7 +224,7 @@ class _PermCounter:
     __slots__ = ("cap", "_phi0", "_psi", "psi_evals", "phi0_evals")
 
     def __init__(self, cap: int):
-        self.cap = cap
+        self.cap = _checked_cap(cap)
         self._phi0 = {}
         self._psi = {}
         self.psi_evals = 0
@@ -224,21 +242,23 @@ class _PermCounter:
             self._psi[vk] = val
         return val
 
-    def phi_empty(self, x: int, preds) -> int:
-        """Consistent permutations of the mask x, no prefix forbidden."""
+    def phi_empty(self, x: int, preds, targets: int) -> int:
+        """Consistent permutations of the mask x, no prefix forbidden
+        (``targets`` is the mask of claim targets)."""
         val = self._phi0.get(x)
         if val is None:
             self.phi0_evals += 1
-            vk = _claim_endpoints(preds, x)
+            vk = _claim_endpoints(preds, x, targets)
             n = x.bit_count()
             val = math.perm(n, n - vk.bit_count()) * self.psi_value(tuple(_iter_bits(vk)), preds)
             self._phi0[x] = val
         return val
 
 
-def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple, preds) -> int:
+def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple, preds, targets: int) -> int:
     """Consistent permutations of the mask ``host`` avoiding every chain
-    prefix (masks inside it, smallest first).
+    prefix (masks inside it, smallest first); ``preds`` and ``targets`` as
+    for ``_PermCounter.phi_empty``.
 
     Iterative version of the standard three-case recursion: with an empty
     chain the count factors into a quotient of factorials times a
@@ -250,9 +270,9 @@ def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple, preds) -> int:
     """
     l = len(chain)
     if l == 0:
-        return ctx.phi_empty(host, preds)
+        return ctx.phi_empty(host, preds, targets)
     hosts = list(chain) + [host]
-    cur = [ctx.phi_empty(h, preds) for h in hosts]
+    cur = [ctx.phi_empty(h, preds, targets) for h in hosts]
     for d in range(1, l + 1):
         r = chain[d - 1]
         sources = 0  # claim sources of r's members that lie outside r
@@ -263,7 +283,7 @@ def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple, preds) -> int:
         for i in range(d, l + 1):
             h = hosts[i]
             if not sources & h:
-                cur[i] = cur[i] - sub * ctx.phi_empty(h & ~r, preds)
+                cur[i] = cur[i] - sub * ctx.phi_empty(h & ~r, preds, targets)
     return cur[l]
 
 
@@ -279,7 +299,7 @@ def phi(vertex_set, chain, knowledge, *, psi_cap: int = DEFAULT_PERMUTATION_CAP)
             raise ValueError(f"claim {u}->{v} has an endpoint outside the host set")
     host = _Host(tuple(sorted(s)), None, pairs)
     chain_masks = tuple(map(host.mask, ch))
-    return _phi_with_ctx(_PermCounter(psi_cap), host.full, chain_masks, host.preds)
+    return _phi_with_ctx(_PermCounter(psi_cap), host.full, chain_masks, host.preds, host.targets)
 
 
 def lbfs_background(g: UndirectedGraph, clique, knowledge) -> LbfsResult:
@@ -374,6 +394,7 @@ class ComponentStats:
 class SessionStats:
     components: tuple
     lbfs_calls: int
+    lbfs_vertices: int
     phi_chain_evaluations: int
     phi_empty_evaluations: int
     psi_evaluations: int
@@ -412,6 +433,7 @@ class CountingSession:
         self.ctx = _PermCounter(cap)
         self.memo = MemoTable() if memo is None else memo
         self.lbfs_calls = 0
+        self.lbfs_vertices = 0
         self.phi_chain_evals = 0
         self.memo_hits = 0
 
@@ -438,7 +460,7 @@ class CountingSession:
             return val
         cliques, parents = _mcs_cliques(host.nbr, sub) if tree is None else tree
         if len(cliques) == 1:
-            val = self.ctx.phi_empty(sub, host.preds)
+            val = self.ctx.phi_empty(sub, host.preds, host.targets)
             self.memo[sub] = val
             return val
         chains = _prefix_chains(cliques, parents)
@@ -446,7 +468,8 @@ class CountingSession:
         total = 0
         for i, clique in enumerate(cliques):
             self.lbfs_calls += 1
-            flag, comps, _ = _lbfs(host.nbr, sub, clique, preds, True, True)
+            flag, comps, order = _lbfs(host.nbr, sub, clique, preds, True, True, host.live)
+            self.lbfs_vertices += len(order)
             if not flag:
                 continue
             prod = 1
@@ -454,7 +477,7 @@ class CountingSession:
                 if h & (h - 1):
                     prod *= self._count(host, h)
             self.phi_chain_evals += 1
-            total += prod * _phi_with_ctx(self.ctx, clique, chains[i], preds)
+            total += prod * _phi_with_ctx(self.ctx, clique, chains[i], preds, host.targets)
         self.memo[sub] = total
         return total
 
@@ -462,6 +485,7 @@ class CountingSession:
         return SessionStats(
             components=tuple(components),
             lbfs_calls=self.lbfs_calls,
+            lbfs_vertices=self.lbfs_vertices,
             phi_chain_evaluations=self.phi_chain_evals,
             phi_empty_evaluations=self.ctx.phi0_evals,
             psi_evaluations=self.ctx.psi_evals,
@@ -489,12 +513,13 @@ def count_uccg(
             raise ValueError(f"claim {u}->{v} is not an edge of the graph")
     if g.n == 0:
         raise ValueError("graph is empty")
-    host = _Host(g.vertices, _masks(g)[1], pairs)
-    cliques, parents = _mcs_cliques(host.nbr, host.full)
+    nbr = _masks(g)[1]
+    cliques, parents = _mcs_cliques(nbr, (1 << g.n) - 1)
     if parents.count(None) != 1:  # each component starts with a parentless clique
         raise ValueError("clique tree requires a connected graph")
-    if not _all_cliques(host.nbr, cliques):  # see graphs._all_cliques
+    if not _all_cliques(nbr, cliques):  # see graphs._all_cliques
         raise ValueError("graph is not chordal")
+    host = _Host(g.vertices, nbr, pairs, cliques)
     if root is not None:
         key = tuple(sorted(root))
         root = host.mask(key) if g.vertex_set.issuperset(key) else 0
@@ -512,20 +537,22 @@ def count_session(instance: MecInstance, *, psi_cap: int | None = None) -> Sessi
     Raises InvalidInstanceError when validation fails.  Returns the exact
     count together with per-component and whole-session statistics.
     """
+    session = CountingSession(instance.knowledge, psi_cap=psi_cap)
     violations = validate(instance)
     if violations:
         raise InvalidInstanceError(violations)
     graph = instance.graph
-    session = CountingSession(instance.knowledge, psi_cap=psi_cap)
     comp_stats = []
     if any((v, u) in graph.directed for (u, v) in instance.knowledge):
         count = 0  # a claim reverses one of the graph's own directed edges
     else:
         # One host over the whole undirected part keeps the masks of all
         # components in one bit space, so they share the memo soundly.
-        host = _Host(range(graph.n), graph.undirected_masks(), session.pairs)
+        trees = graph.undirected_trees()
+        every_clique = (c for _, cliques, _ in trees for c in cliques)
+        host = _Host(range(graph.n), graph.undirected_masks(), session.pairs, every_clique)
         count = 1
-        for sub, cliques, parents in graph.undirected_trees():
+        for sub, cliques, parents in trees:
             before = len(session.memo)
             count *= session._count(host, sub, (cliques, parents))
             comp_stats.append(

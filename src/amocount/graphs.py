@@ -148,20 +148,22 @@ def _mask_components(nbr, mask) -> list[int]:
     return comps
 
 
-def _claim_endpoints(preds, x) -> int:
+def _claim_endpoints(preds, x, targets) -> int:
     """The vertices of the mask ``x`` that are endpoints of a claim inside it.
 
-    ``preds[v]`` is the mask of the sources of the claims into v.
+    ``preds[v]`` is the mask of the sources of the claims into v, and
+    ``targets`` holds every v whose ``preds[v]`` is not 0; only the targets
+    inside ``x`` are walked.
     """
     touched = 0
-    for v in _iter_bits(x):
+    for v in _iter_bits(x & targets):
         sources = preds[v] & x
         if sources:
             touched |= sources | 1 << v
     return touched
 
 
-def _lbfs(nbr, sub, seed, preds, collect_components, stop_on_reject=False):
+def _lbfs(nbr, sub, seed, preds, collect_components, stop_on_reject=False, live=-1):
     """Lexicographic BFS by partition refinement over bitmasks.
 
     Vertices are positions: ``nbr[v]`` is the neighbour mask of position v,
@@ -177,6 +179,20 @@ def _lbfs(nbr, sub, seed, preds, collect_components, stop_on_reject=False):
     Returns ``(flag, components, order)``: ``components`` are the connected
     components of the recorded front sets as masks (only filled in when
     ``collect_components`` is set), ``order`` the visited positions.
+
+    The sweep ends once no unvisited vertex is in the mask ``live`` (by
+    default every vertex is, so the sweep is complete).  When ``sub`` is
+    connected, ``seed`` is not 0 and ``live`` holds every claim target and
+    every vertex on a triangle, the rest of the sweep records only lone
+    vertices and cannot drop the flag, so ``order`` is a prefix of the full
+    sweep's and ``components`` lacks only lone vertices.  Two vertices of one
+    cell have the same visited neighbours.  For a recorded cell that set is
+    not empty: the seed is never recorded, and the cell of vertices with no
+    visited neighbour stays at index 0, so it comes up only when no other
+    cell is left, which in a connected ``sub`` means it is empty.  So two
+    adjacent vertices of a recorded cell close a triangle with any common
+    visited neighbour, and a cell of vertices on no triangle splits into
+    lone vertices.
     """
     cells = [c for c in (sub & ~seed, seed) if c]  # the front cell is last
     remaining = sub
@@ -184,7 +200,7 @@ def _lbfs(nbr, sub, seed, preds, collect_components, stop_on_reject=False):
     order = []
     comps = []
     flag = True
-    while cells:
+    while remaining & live:
         cell = cells[-1]
         low = cell & -cell
         v = low.bit_length() - 1

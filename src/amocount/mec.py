@@ -296,10 +296,12 @@ def max_clique_knowledge(instance: MecInstance) -> int:
     g = instance.graph
     n = g.n
     preds = [0] * n
+    targets = 0
     for u, v in pairs:
         if 0 <= u < n and 0 <= v < n:
             preds[v] |= 1 << u
+            targets |= 1 << v
     cliques = [c for _, part, _ in g.undirected_trees() for c in part]
     if not _all_cliques(g.undirected_masks(), cliques):
         raise ValueError("graph is not chordal")
-    return max((_claim_endpoints(preds, c).bit_count() for c in cliques), default=0)
+    return max((_claim_endpoints(preds, c, targets).bit_count() for c in cliques), default=0)

@@ -55,6 +55,15 @@ class TestCount:
         assert "subproblems" in out.err
         assert "memo hits" in out.err
 
+    def test_stats_show_the_sweep_work(self, tmp_path, capsys):
+        # the sweep from the triangle abc ends before d, a lone vertex off
+        # every triangle; the one from the edge cd visits all four
+        path = paw_instance(tmp_path)
+        assert main(["count", path, "--stats"]) == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        at = lines.index("lbfs sweeps: 2")
+        assert lines[at + 1] == "lbfs vertices: 7"
+
     def test_missing_file(self, capsys):
         assert main(["count", "/nonexistent/x.json"]) == EXIT_INVALID
         assert "error" in capsys.readouterr().err
@@ -147,6 +156,28 @@ class TestPsiCap:
         monkeypatch.setenv(PSI_CAP_ENV, "not-a-number")
         assert main(["count", path]) == EXIT_OK
         assert "ignoring" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--psi-cap", "-1"], ["--psi-cap=-2"], ["--psi-cap", "x"]])
+    def test_a_negative_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        path = paw_instance(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            main(["count", path, *flag])
+        assert e.value.code == 2  # argparse's usage error
+        assert "nonnegative" in capsys.readouterr().err
+
+    def test_a_zero_flag_counts_a_claim_free_instance(self, tmp_path, capsys):
+        path = paw_instance(tmp_path)
+        assert main(["count", path, "--psi-cap", "0"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "8"
+
+    def test_negative_environment_value_is_ignored(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(PSI_CAP_ENV, "-2")
+        assert main(["count", paw_instance(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr()
+        assert out.out.strip() == "8"
+        assert "ignoring" in out.err
+        # the default cap of 20 is back, so the four claim-touched vertices fit
+        assert main(["count", self.complete4(tmp_path)]) == EXIT_OK
 
 
 class TestGen:

@@ -129,6 +129,11 @@ class TestPsi:
         with pytest.raises(PermutationCapError):
             psi(frozenset(range(5)), BackgroundKnowledge.empty(), cap=4)
 
+    def test_rejects_a_negative_cap(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            psi(frozenset(), BackgroundKnowledge.empty(), cap=-1)
+        assert psi(frozenset(), BackgroundKnowledge.empty(), cap=0) == 1
+
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_enumeration(self, seed):
         rng = random.Random(40_000 + seed)
@@ -234,6 +239,11 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(frozenset({0, 1}), (), BackgroundKnowledge([(0, 9)]))
 
+    def test_rejects_a_negative_cap(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            phi(frozenset({0, 1}), (), BackgroundKnowledge.empty(), psi_cap=-1)
+        assert phi(frozenset({0, 1}), (), BackgroundKnowledge.empty(), psi_cap=0) == 2
+
     def test_cap_applies_to_claim_vertices_only(self):
         # a large host is fine while the claims touch few vertices
         host = frozenset(range(40))
@@ -318,6 +328,180 @@ class TestLbfsBackground:
             assert early[2] == full[2][: len(early[2])]
             if early[0]:
                 assert early == full
+
+
+def random_tree(rng, n):
+    """Edges of a random tree on 0..n-1: a recursive tree, or a deep one
+    whose vertices hang off one of the three before them, relabelled at
+    random."""
+    deep = rng.random() < 0.5
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = []
+    for v in range(1, n):
+        u = rng.randint(max(0, v - 3), v - 1) if deep else rng.randrange(v)
+        edges.append((label[u], label[v]))
+    return edges
+
+
+def caterpillar(rng, spine):
+    """Edges of a path of ``spine`` vertices with 0-3 legs on each."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i in range(spine):
+        for _ in range(rng.randint(0, 3)):
+            edges.append((i, n))
+            n += 1
+    return UndirectedGraph(n, edges)
+
+
+def sparse_chordal(rng, n):
+    """Each new vertex joins a random earlier vertex, and sometimes that
+    vertex's own first neighbour too, closing a triangle; chordal, since
+    every vertex joins a clique."""
+    first = [None]
+    edges = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        edges.append((u, v))
+        if first[u] is not None and rng.random() < 0.4:
+            edges.append((first[u], v))
+        first.append(u)
+    return UndirectedGraph(n, edges)
+
+
+def edge_claims(g, rng, most):
+    """Up to ``most`` edges of ``g``, each oriented at random."""
+    picked = rng.sample(g.edges(), rng.randint(0, min(most, g.num_edges)))
+    return BackgroundKnowledge((u, v) if rng.random() < 0.5 else (v, u) for u, v in picked)
+
+
+def live_and_full_sweeps(g, knowledge):
+    """Sweep each component of ``g`` from each of its maximal cliques, once
+    with the host's ``live`` mask and once in full, both stopping on a
+    rejection, and check that the two agree on everything ``_count`` reads.
+    Returns the number of vertices the live sweeps visited."""
+    nbr = _masks(g)[1]
+    whole = (1 << g.n) - 1
+    host = _Host(g.vertices, nbr, knowledge.pairs, _mcs_cliques(nbr, whole)[0])
+    on_triangle = sum(
+        1 << v for v in range(g.n) if any(nbr[v] & nbr[u] for u in _iter_bits(nbr[v]))
+    )
+    assert host.live == host.targets | on_triangle
+    assert host.targets == sum(1 << v for v in range(g.n) if host.preds[v])
+    visited = 0
+    for sub in _mask_components(nbr, whole):
+        for clique in _mcs_cliques(nbr, sub)[0]:
+            flag, comps, order = _lbfs(nbr, sub, clique, host.preds, True, True, host.live)
+            full_flag, full_comps, full_order = _lbfs(nbr, sub, clique, host.preds, True, True)
+            assert flag == full_flag
+            assert order == full_order[: len(order)]
+            assert comps == full_comps[: len(comps)]
+            if flag:
+                # what the early sweep leaves out is lone vertices only
+                assert all(not h & (h - 1) for h in full_comps[len(comps):])
+            else:
+                # the rejecting vertex is a claim target, so it is live
+                assert order == full_order
+            visited += len(order)
+    return visited
+
+
+class TestLiveSweep:
+    """A counting sweep ends once every unvisited vertex lies on no triangle
+    and is no claim target; it must agree with the full sweep on the flag
+    and on every subproblem of two or more vertices."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_full_sweep_on_chordal_graphs(self, seed):
+        g = random_uccg(seed, 3, 12)
+        k = random_claims(g, random.Random(95_000 + seed), "oriented")
+        live_and_full_sweeps(g, k)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_the_full_sweep_on_sparse_chordal_graphs(self, seed):
+        rng = random.Random(96_000 + seed)
+        g = sparse_chordal(rng, rng.randint(5, 40))
+        live_and_full_sweeps(g, edge_claims(g, rng, 6))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_the_full_sweep_on_trees_and_caterpillars(self, seed):
+        rng = random.Random(97_000 + seed)
+        if seed % 2:
+            g = caterpillar(rng, rng.randint(3, 15))
+        else:
+            n = rng.randint(5, 40)
+            g = UndirectedGraph(n, random_tree(rng, n))
+        live_and_full_sweeps(g, edge_claims(g, rng, 4))
+        # with no claim, no vertex of a tree is live
+        assert live_and_full_sweeps(g, BackgroundKnowledge()) == 0
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (2000, [(i, i + 1) for i in range(1999)]),
+            (500, [(0, v) for v in range(1, 500)]),
+        ],
+        ids=["path", "star"],
+    )
+    def test_claim_free_paths_and_stars_sweep_no_vertex(self, n, edges):
+        res = count_session(MecInstance(PartiallyDirectedGraph(n, edges), BackgroundKnowledge()))
+        assert res.count == n
+        assert res.stats.lbfs_calls == n - 1
+        assert res.stats.lbfs_vertices == 0
+
+
+def tree_distances(edges, n, source):
+    """Distance from ``source`` to each of the n vertices of a tree."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = [None] * n
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        for w in adj[u]:
+            if dist[w] is None:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+class TestIdentitiesAtScale:
+    """Counts that hold at any size, checked far beyond the oracle's reach:
+    an AMO of a tree is fixed by its source, so it honours a claim u->v
+    exactly when u is nearer the source than v."""
+
+    @pytest.mark.parametrize("n", [500, 2000, 8000])
+    def test_a_path_counts_its_vertices(self, n):
+        path = PartiallyDirectedGraph(n, [(i, i + 1) for i in range(n - 1)])
+        assert count_session(MecInstance(path, BackgroundKnowledge())).count == n
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_a_tree_counts_the_sources_that_honour_every_claim(self, seed):
+        rng = random.Random(98_000 + seed)
+        n = rng.randint(200, 400)
+        edges = random_tree(rng, n)
+        k = edge_claims(UndirectedGraph(n, edges), rng, 4)
+        dist = {v: tree_distances(edges, n, v) for claim in k.pairs for v in claim}
+        expected = sum(all(dist[u][r] < dist[v][r] for u, v in k.pairs) for r in range(n))
+        res = count_session(MecInstance(PartiallyDirectedGraph(n, edges), k))
+        assert res.count == expected
+
+    def test_a_forest_counts_the_product_of_its_tree_sizes(self):
+        rng = random.Random(99_000)
+        sizes = [1, 2, 3, 1, 57, 120, 300]
+        label = list(range(sum(sizes)))
+        rng.shuffle(label)  # interleave the trees' labels
+        edges, offset = [], 0
+        for size in sizes:
+            edges += [(label[offset + u], label[offset + v]) for u, v in random_tree(rng, size)]
+            offset += size
+        forest = PartiallyDirectedGraph(offset, edges)
+        res = count_session(MecInstance(forest, BackgroundKnowledge()))
+        assert res.count == math.prod(sizes)
+        assert len(res.stats.components) == len(sizes)
 
 
 class TestForbiddenPrefixes:
@@ -551,6 +735,35 @@ class TestCountSession:
             count_session(
                 uccg_instance(complete(4), [(0, 1), (1, 2), (2, 3)]), psi_cap=3
             )
+
+    def test_rejects_a_negative_cap(self):
+        p4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
+        for cap in (-1, -2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                CountingSession(BackgroundKnowledge.empty(), psi_cap=cap)
+            with pytest.raises(ValueError, match="nonnegative"):
+                count_session(uccg_instance(p4), psi_cap=cap)
+            with pytest.raises(ValueError, match="nonnegative"):
+                count_uccg(p4, BackgroundKnowledge.empty(), psi_cap=cap)
+        # a cap of 0 still counts whatever no claim touches
+        assert count_session(uccg_instance(p4), psi_cap=0).count == 4
+        assert count_uccg(p4, BackgroundKnowledge.empty(), psi_cap=0) == 4
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_stats_count_every_visited_vertex(self, seed, monkeypatch):
+        inst = random_chain_instance(seed) if seed % 2 else uccg_instance(random_uccg(seed, 4, 12))
+        inner = counting_module._lbfs
+        visited = []
+
+        def counted(*args):
+            out = inner(*args)
+            visited.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(counting_module, "_lbfs", counted)
+        stats = count_session(inst).stats
+        assert stats.lbfs_calls == len(visited)
+        assert stats.lbfs_vertices == sum(visited)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_component_stats_match_the_components(self, seed):
