@@ -10,12 +10,17 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .counting import count_session
-from .generators import GenConfig, gen_background, grow_background, random_chordal
+from .generators import (
+    GenConfig,
+    GenerationError,
+    gen_background,
+    grow_background,
+    random_chordal_with_stats,
+)
 from .mec import BackgroundKnowledge, MecInstance, PartiallyDirectedGraph
 
 CSV_FIELDS = (
@@ -25,35 +30,13 @@ CSV_FIELDS = (
     "seed",
     "time_ms",
     "count_decimal_digits",
-    "count_is_zero",
+    "count_is_zero",  # 1 when the count is zero: the sweeps only rejected
     "engine_version",
 )
 AGG_FIELDS = ("n", "k", "reps", "mean_time_ms", "median_time_ms")
 PAIR_FIELDS = ("n", "k", "size_1", "size_2", "time1_ms", "time2_ms")
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    n: int
-    k: int
-    knowledge_size: int
-    seed: int
-    time_ms: float
-    count_decimal_digits: int
-    count_is_zero: bool  # a zero count means the sweeps only rejected
-    engine_version: str = __version__
-
-    def row(self):
-        return [
-            self.n,
-            self.k,
-            self.knowledge_size,
-            self.seed,
-            f"{self.time_ms:.3f}",
-            self.count_decimal_digits,
-            int(self.count_is_zero),
-            self.engine_version,
-        ]
+PAIR_REPS = 3  # each side of a pair reports the median of this many timings
+DRAWS_PER_PAIR = 10  # a comparison gives up after this many draws per wanted pair
 
 
 def derived_seed(base: int, n: int, k: int, rep: int) -> int:
@@ -61,14 +44,18 @@ def derived_seed(base: int, n: int, k: int, rep: int) -> int:
 
 
 def make_instance(n: int, k: int | None, seed: int):
-    """One seeded benchmark instance: chordal graph plus knowledge."""
-    g = random_chordal(GenConfig(n=n, seed=seed))
+    """One seeded benchmark instance: chordal graph plus knowledge.
+
+    Returns ``(instance, graph, p)``: the instance, its undirected graph and
+    the edge probability the graph was drawn with.
+    """
+    g, info = random_chordal_with_stats(GenConfig(n=n, seed=seed))
     if k is None:
         knowledge = BackgroundKnowledge.empty()
     else:
         knowledge = gen_background(g, k, seed + 1)
     graph = PartiallyDirectedGraph(n, g.edges(), ())
-    return MecInstance(graph, knowledge), g
+    return MecInstance(graph, knowledge), g, info["p"]
 
 
 def time_count(instance: MecInstance, *, psi_cap=None):
@@ -78,13 +65,40 @@ def time_count(instance: MecInstance, *, psi_cap=None):
     return result, dt
 
 
+def _sweep(draws, measure, want, log):
+    """Measure ``(label, n, k, seed)`` draws in order until ``want`` rows are
+    built or the draws run out.
+
+    ``measure(n, k, seed)`` returns a row and a log detail.  A draw that
+    raises is a failure: it is reported and skipped, and the caller decides
+    what a partial result is worth.  Returns ``(rows, failures)``.
+    """
+    rows: list[dict] = []
+    failures: list[str] = []
+    for label, n, k, s in draws:
+        if len(rows) == want:
+            break
+        try:
+            row, detail = measure(n, k, s)
+        except Exception as e:  # noqa: BLE001 - keep the sweep alive
+            failures.append(f"{label}: {e}")
+            if log:
+                log(failures[-1])
+            continue
+        rows.append(row)
+        if log:
+            log(f"{label}: {detail}")
+    return rows, failures
+
+
 def _write_csv(path, header, rows):
-    """One header line, then each row in header order, floats to 3 decimals."""
+    """One header line, then each row's fields in header order, floats to 3
+    decimals."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([f"{x:.3f}" if isinstance(x, float) else x for x in row])
+            w.writerow([f"{row[f]:.3f}" if isinstance(row[f], float) else row[f] for f in header])
 
 
 def _agg_path(out_csv) -> Path:
@@ -92,126 +106,68 @@ def _agg_path(out_csv) -> Path:
     return p.with_name(p.stem + "_agg" + p.suffix)
 
 
-def run_bench(
-    n_list,
-    k_list,
-    reps: int,
-    seed: int,
-    out_csv,
-    *,
-    psi_cap=None,
-    log=None,
-):
+def run_bench(n_list, k_list, reps: int, seed: int, out_csv, *, psi_cap=None, log=None):
     """Time ``reps`` seeded instances per (n, k) cell.
 
-    Failed cells are reported and skipped; the caller decides what a partial
-    result is worth.  Returns ``(records, aggregates, failures)``.
+    Returns ``(records, aggregates, failures)``: one row per timed instance,
+    one per cell, and one message per failed draw.
     """
-    records: list[BenchRecord] = []
-    failures: list[str] = []
+
+    def measure(n, k, s):
+        instance, _, _ = make_instance(n, k, s)
+        result, dt = time_count(instance, psi_cap=psi_cap)
+        digits = len(str(result.count))
+        row = (n, k, len(instance.knowledge), s, dt, digits, int(result.count == 0), __version__)
+        return dict(zip(CSV_FIELDS, row)), f"{dt:.1f} ms, {digits} digits"
+
+    draws = [
+        (f"n={n} k={k} rep={rep}", n, k, derived_seed(seed, n, k, rep))
+        for n in n_list
+        for k in k_list
+        for rep in range(reps)
+    ]
+    records, failures = _sweep(draws, measure, len(draws), log)
+
     cells: dict[tuple, list] = {}
-    for n in n_list:
-        for k in k_list:
-            for rep in range(reps):
-                s = derived_seed(seed, n, k, rep)
-                try:
-                    instance, _ = make_instance(n, k, s)
-                    result, dt = time_count(instance, psi_cap=psi_cap)
-                except Exception as e:  # noqa: BLE001 - keep the sweep alive
-                    failures.append(f"n={n} k={k} rep={rep}: {e}")
-                    if log:
-                        log(failures[-1])
-                    continue
-                rec = BenchRecord(
-                    n=n,
-                    k=k,
-                    knowledge_size=len(instance.knowledge),
-                    seed=s,
-                    time_ms=dt,
-                    count_decimal_digits=len(str(result.count)),
-                    count_is_zero=result.count == 0,
-                )
-                records.append(rec)
-                cells.setdefault((n, k), []).append(dt)
-                if log:
-                    log(f"n={n} k={k} rep={rep}: {dt:.1f} ms, {rec.count_decimal_digits} digits")
+    for r in records:
+        cells.setdefault((r["n"], r["k"]), []).append(r["time_ms"])
+    aggregates = [
+        dict(zip(AGG_FIELDS, (n, k, len(times), statistics.fmean(times), statistics.median(times))))
+        for (n, k), times in sorted(cells.items())
+    ]
 
-    aggregates = []
-    for (n, k), times in sorted(cells.items()):
-        aggregates.append(
-            {
-                "n": n,
-                "k": k,
-                "reps": len(times),
-                "mean_time_ms": statistics.fmean(times),
-                "median_time_ms": statistics.median(times),
-            }
-        )
-
-    _write_csv(out_csv, CSV_FIELDS, (rec.row() for rec in records))
-    _write_csv(_agg_path(out_csv), AGG_FIELDS, ([a[f] for f in AGG_FIELDS] for a in aggregates))
+    _write_csv(out_csv, CSV_FIELDS, records)
+    _write_csv(_agg_path(out_csv), AGG_FIELDS, aggregates)
     return records, aggregates, failures
 
 
-def run_pair_comparison(
-    n_list,
-    k_list,
-    pairs: int,
-    seed: int,
-    out_csv,
-    *,
-    reps: int = 3,
-    psi_cap=None,
-    log=None,
-):
+def run_pair_comparison(n_list, k_list, pairs: int, seed: int, out_csv, *, psi_cap=None, log=None):
     """Compare each base knowledge set against its grown superset.
 
-    For every pair the base set K1 is generated, K2 grows it without moving
-    the clique parameter, and both instances are timed (median of ``reps``).
-    Rows: n, k, size_1, size_2, time1_ms, time2_ms.
+    Draw i takes the i-th entries of ``n_list`` and ``k_list``, each read
+    cyclically.  Its base set K1 is generated, K2 grows it without moving
+    the clique parameter, and both instances are timed (median of
+    ``PAIR_REPS``).  A draw that cannot grow is a failure, and the run stops
+    after ``DRAWS_PER_PAIR`` draws per wanted pair.  Rows: n, k, size_1,
+    size_2, time1_ms, time2_ms.  Returns ``(rows, failures)``.
     """
-    rows = []
-    failures = []
-    i = 0
-    while len(rows) < pairs:
-        n = n_list[i % len(n_list)]
-        k = k_list[i % len(k_list)]
-        s = derived_seed(seed, n, k, i)
-        i += 1
-        try:
-            g = random_chordal(GenConfig(n=n, seed=s))
-            k1 = gen_background(g, k, s + 1)
-            k2, grew = grow_background(g, k1, s + 2)
-            if not grew:
-                failures.append(f"n={n} k={k}: no admissible extra edge")
-                continue
-            graph = PartiallyDirectedGraph(n, g.edges(), ())
-            t1 = statistics.median(
-                time_count(MecInstance(graph, k1), psi_cap=psi_cap)[1] for _ in range(reps)
-            )
-            t2 = statistics.median(
-                time_count(MecInstance(graph, k2), psi_cap=psi_cap)[1] for _ in range(reps)
-            )
-        except Exception as e:  # noqa: BLE001
-            failures.append(f"n={n} k={k}: {e}")
-            if log:
-                log(failures[-1])
-            continue
-        rows.append(
-            {
-                "n": n,
-                "k": k,
-                "size_1": len(k1),
-                "size_2": len(k2),
-                "time1_ms": t1,
-                "time2_ms": t2,
-            }
-        )
-        if log:
-            log(
-                f"n={n} k={k}: |K1|={len(k1)} |K2|={len(k2)}"
-                f" t1={t1:.1f} ms t2={t2:.1f} ms"
-            )
-    if out_csv:
-        _write_csv(out_csv, PAIR_FIELDS, ([r[f] for f in PAIR_FIELDS] for r in rows))
+
+    def measure(n, k, s):
+        base, g, _ = make_instance(n, k, s)
+        k1 = base.knowledge
+        k2, grew = grow_background(g, k1, s + 2)
+        if not grew:
+            raise GenerationError("no admissible extra edge")
+        grown = MecInstance(base.graph, k2)
+        t1 = statistics.median(time_count(base, psi_cap=psi_cap)[1] for _ in range(PAIR_REPS))
+        t2 = statistics.median(time_count(grown, psi_cap=psi_cap)[1] for _ in range(PAIR_REPS))
+        row = dict(zip(PAIR_FIELDS, (n, k, len(k1), len(k2), t1, t2)))
+        return row, f"|K1|={len(k1)} |K2|={len(k2)} t1={t1:.1f} ms t2={t2:.1f} ms"
+
+    draws = []
+    for i in range(DRAWS_PER_PAIR * pairs):
+        n, k = n_list[i % len(n_list)], k_list[i % len(k_list)]
+        draws.append((f"n={n} k={k}", n, k, derived_seed(seed, n, k, i)))
+    rows, failures = _sweep(draws, measure, pairs, log)
+    _write_csv(out_csv, PAIR_FIELDS, rows)
     return rows, failures

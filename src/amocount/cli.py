@@ -15,24 +15,18 @@ import sys
 import time
 
 from . import __version__
-from .bench import run_bench, run_pair_comparison
+from .bench import make_instance, run_bench, run_pair_comparison
 from .counting import DEFAULT_PERMUTATION_CAP, PermutationCapError, count_session
-from .generators import GenConfig, GenerationError, gen_background, random_chordal_with_stats
+from .generators import GenerationError
 from .instancefile import (
     InstanceDocument,
     InstanceFormatError,
     default_labels,
     load_instance,
     save_instance,
+    serialize_instance,
 )
-from .mec import (
-    BackgroundKnowledge,
-    InvalidInstanceError,
-    MecInstance,
-    PartiallyDirectedGraph,
-    max_clique_knowledge,
-    validate,
-)
+from .mec import InvalidInstanceError, max_clique_knowledge, validate
 from .oracle import DEFAULT_ORACLE_CAP, OracleCapError, enumerate_amos
 
 EXIT_OK = 0
@@ -130,20 +124,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    g, info = random_chordal_with_stats(GenConfig(n=args.n, seed=args.seed))
-    if args.k is not None:
-        knowledge = gen_background(g, args.k, args.seed + 1)
-    else:
-        knowledge = BackgroundKnowledge.empty()
-    graph = PartiallyDirectedGraph(args.n, g.edges(), ())
-    instance = MecInstance(graph, knowledge)
+    instance, _, p = make_instance(args.n, args.k, args.seed)
     doc = InstanceDocument(
         labels=default_labels(args.n),
         instance=instance,
         metadata={
             "generator": "random-chordal",
             "seed": args.seed,
-            "p": info["p"],
+            "p": p,
             "k": args.k,
             "clique_knowledge": max_clique_knowledge(instance),
             "engine_version": __version__,
@@ -153,8 +141,6 @@ def cmd_gen(args) -> int:
         save_instance(doc, args.out)
         print(args.out)
     else:
-        from .instancefile import serialize_instance
-
         sys.stdout.write(serialize_instance(doc))
     return EXIT_OK
 

@@ -60,9 +60,6 @@ class UndirectedGraph:
     def degree(self, v) -> int:
         return len(self._adj[v])
 
-    def has_vertex(self, v) -> bool:
-        return v in self._vertex_set
-
     def has_edge(self, u, v) -> bool:
         if u not in self._adj:
             raise KeyError(f"unknown vertex {u}")

@@ -37,7 +37,7 @@ def _expect(cond, msg):
         raise InstanceFormatError(msg)
 
 
-def _label_pairs(raw, key, label_ids, *, ordered):
+def _label_pairs(raw, key, label_ids):
     _expect(isinstance(raw, list), f"'{key}' must be an array")
     pairs = []
     append = pairs.append
@@ -52,7 +52,7 @@ def _label_pairs(raw, key, label_ids, *, ordered):
             v = label_ids[b]
             if u == v:
                 break
-            append((u, v) if ordered or u < v else (v, u))
+            append((u, v))
         else:
             return pairs
     except (ValueError, KeyError, TypeError):
@@ -93,9 +93,9 @@ def parse_instance_text(text: str) -> InstanceDocument:
     _expect(len(set(labels)) == len(labels), "'vertices' contains duplicate labels")
     label_ids = {lab: i for i, lab in enumerate(labels)}
 
-    und = _label_pairs(doc.get("undirected_edges", []), "undirected_edges", label_ids, ordered=False)
-    dire = _label_pairs(doc.get("directed_edges", []), "directed_edges", label_ids, ordered=True)
-    know = _label_pairs(doc.get("knowledge", []), "knowledge", label_ids, ordered=True)
+    und = _label_pairs(doc.get("undirected_edges", []), "undirected_edges", label_ids)
+    dire = _label_pairs(doc.get("directed_edges", []), "directed_edges", label_ids)
+    know = _label_pairs(doc.get("knowledge", []), "knowledge", label_ids)
     metadata = doc.get("metadata", {})
     _expect(isinstance(metadata, dict), "'metadata' must be an object")
     try:

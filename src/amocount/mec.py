@@ -263,24 +263,29 @@ def validate(instance: MecInstance) -> list[str]:
         else:
             quotient_edges.add((comp_of[u], comp_of[v]))
 
-    # Kahn's algorithm on the component quotient.
-    indeg = {i: 0 for i in range(len(trees))}
-    succ = {i: [] for i in range(len(trees))}
-    for a, b in quotient_edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    ready = [i for i, d in indeg.items() if d == 0]
-    seen = 0
-    while ready:
-        a = ready.pop()
-        seen += 1
-        for b in succ[a]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-    if seen != len(trees):
+    if not _is_acyclic(len(trees), quotient_edges):
         msgs.append("directed edges form a cycle across undirected components")
     return msgs
+
+
+def _is_acyclic(n: int, arcs) -> bool:
+    """Whether the arcs over vertices 0..n-1 form no directed cycle (Kahn's
+    algorithm)."""
+    indeg = [0] * n
+    succ: dict[int, list] = {}
+    for u, v in arcs:
+        succ.setdefault(u, []).append(v)
+        indeg[v] += 1
+    ready = [v for v in range(n) if indeg[v] == 0]
+    seen = 0
+    while ready:
+        v = ready.pop()
+        seen += 1
+        for w in succ.get(v, ()):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return seen == n
 
 
 def max_clique_knowledge(instance: MecInstance) -> int:

@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 
 from .counting import _pairs_of
 from .graphs import UndirectedGraph, _is_maximal_clique
-from .mec import PartiallyDirectedGraph
+from .mec import PartiallyDirectedGraph, _is_acyclic
 
 DEFAULT_ORACLE_CAP = 9
 
@@ -36,24 +36,6 @@ def v_structures(graph: PartiallyDirectedGraph) -> frozenset:
             if c not in adj[a]:
                 out.add((a, b, c))
     return frozenset(out)
-
-
-def _is_acyclic(n: int, arcs) -> bool:
-    indeg = [0] * n
-    succ: dict[int, list] = {}
-    for u, v in arcs:
-        succ.setdefault(u, []).append(v)
-        indeg[v] += 1
-    ready = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for w in succ.get(v, ()):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return seen == n
 
 
 def enumerate_amos(

@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import amocount
 from amocount.cli import (
     EXIT_CAP,
     EXIT_INVALID,
@@ -248,6 +252,24 @@ class TestBench:
         assert len(rows) == 2
         for r in rows:
             assert int(r["size_2"]) >= int(r["size_1"])
+
+    def test_growth_comparison_ends_when_no_draw_can_grow(self, tmp_path):
+        # A two-vertex graph leaves no edge to grow its claims by, so every
+        # draw fails; the run must give up after its draw budget.
+        out = tmp_path / "pairs.csv"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(amocount.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "amocount.cli", "bench", "--table1", "--n-list", "2",
+             "--k-list", "2", "--pairs", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_MISMATCH
+        with open(out, newline="") as fh:
+            assert list(csv.reader(fh)) == [
+                ["n", "k", "size_1", "size_2", "time1_ms", "time2_ms"]
+            ]
+        failed = [line for line in proc.stderr.splitlines() if line.startswith("failed:")]
+        assert failed == ["failed: n=2 k=2: no admissible extra edge"] * 10
 
 
 class TestParser:

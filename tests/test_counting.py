@@ -1,5 +1,6 @@
 """The counting core: permutation counts, the LBFS sweep, the recursion."""
 
+import itertools
 import math
 import os
 import random
@@ -27,6 +28,7 @@ from amocount.counting import (
     _prefix_chains,
     _reroot,
 )
+from amocount.generators import GenConfig, random_chordal
 from amocount.graphs import (
     RootedCliqueTree,
     UndirectedGraph,
@@ -36,6 +38,7 @@ from amocount.graphs import (
     _masks,
     _mcs_cliques,
     clique_tree,
+    lbfs_order,
     maximal_cliques,
 )
 from amocount.instancefile import (
@@ -469,8 +472,8 @@ def tree_distances(edges, n, source):
 
 
 class TestIdentitiesAtScale:
-    """Counts that hold at any size, checked far beyond the oracle's reach:
-    an AMO of a tree is fixed by its source, so it honours a claim u->v
+    """Counts that hold at any size, checked far beyond the oracle's reach.
+    An AMO of a tree is fixed by its source, so it honours a claim u->v
     exactly when u is nearer the source than v."""
 
     @pytest.mark.parametrize("n", [500, 2000, 8000])
@@ -502,6 +505,28 @@ class TestIdentitiesAtScale:
         res = count_session(MecInstance(forest, BackgroundKnowledge()))
         assert res.count == math.prod(sizes)
         assert len(res.stats.components) == len(sizes)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_claims_of_a_whole_amo_count_one(self, seed):
+        # Orienting every edge along an LBFS order gives an AMO, and claims
+        # that fix every edge leave that AMO alone.
+        n = random.Random(97_000 + seed).randint(50, 200)
+        p_range = (0.02, 0.06) if seed % 2 else GenConfig.p_range
+        g = random_chordal(GenConfig(n=n, p_range=p_range, seed=seed))
+        pos = {v: i for i, v in enumerate(lbfs_order(g))}
+        k = BackgroundKnowledge((u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges())
+        res = count_session(MecInstance(PartiallyDirectedGraph(n, g.edges()), k), psi_cap=n)
+        assert res.count == 1
+
+    @pytest.mark.parametrize("n", [13, 20, 40])
+    @pytest.mark.parametrize("m", [0, 5, 12])
+    def test_a_claim_chain_in_a_complete_graph_divides_n_factorial(self, n, m):
+        # An AMO of K_n is a vertex order; a chain u1->...->um fixes the
+        # relative order of its m vertices, one of m! equally many.
+        chain = random.Random(96_000 + 100 * n + m).sample(range(n), m)
+        k = BackgroundKnowledge(zip(chain, chain[1:]))
+        g = UndirectedGraph(n, itertools.combinations(range(n), 2))
+        assert count_uccg(g, k) == math.factorial(n) // math.factorial(m)
 
 
 class TestForbiddenPrefixes:
