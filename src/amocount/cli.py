@@ -38,15 +38,23 @@ EXIT_GENERATION = 4
 PSI_CAP_ENV = "AMOCOUNT_PSI_CAP"
 
 
-def _cap(raw: str) -> int:
-    """A permutation cap: a nonnegative integer."""
-    try:
-        cap = int(raw)
-        if cap >= 0:
-            return cap
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a nonnegative integer: {raw!r}")
+def _int_at_least(lo: int, what: str):
+    """An argparse type taking an integer of at least ``lo``; ``what`` names
+    such a value in the usage error."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+            if value >= lo:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"not {what}: {raw!r}")
+
+    return parse
+
+
+_cap = _int_at_least(0, "a nonnegative integer")
 
 
 def _default_psi_cap() -> int:
@@ -149,8 +157,8 @@ def cmd_bench(args) -> int:
     log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
     if args.table1:
         rows, failures = run_pair_comparison(
-            _int_list(args.n_list),
-            _int_list(args.k_list),
+            args.n_list,
+            args.k_list,
             args.pairs,
             args.seed,
             args.out,
@@ -160,8 +168,8 @@ def cmd_bench(args) -> int:
         print(f"{len(rows)} comparison rows -> {args.out}")
     else:
         records, _, failures = run_bench(
-            _int_list(args.n_list),
-            _int_list(args.k_list),
+            args.n_list,
+            args.k_list,
             args.reps,
             args.seed,
             args.out,
@@ -202,15 +210,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="clique knowledge target (omit for none)")
+    p.add_argument("--n", type=_int_at_least(1, "a positive integer"), required=True)
+    p.add_argument(
+        "--k",
+        type=_int_at_least(2, "an integer of at least 2"),
+        default=None,
+        help="clique knowledge target (omit for none)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="time seeded instances and write CSV")
-    p.add_argument("--n-list", default="50,100,150,200,250,300", metavar="N1,N2,...")
-    p.add_argument("--k-list", default="3,4,5,6,7", metavar="K1,K2,...")
+    p.add_argument(
+        "--n-list", type=_int_list, default="50,100,150,200,250,300", metavar="N1,N2,..."
+    )
+    p.add_argument("--k-list", type=_int_list, default="3,4,5,6,7", metavar="K1,K2,...")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--pairs", type=int, default=10, help="rows in --table1 mode")
     p.add_argument("--seed", type=int, default=0)

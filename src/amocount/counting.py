@@ -48,15 +48,6 @@ class PermutationCapError(RuntimeError):
         self.cap = cap
 
 
-class MemoTable(dict):
-    """Counts keyed by subproblem vertex mask; writes never change."""
-
-    def __setitem__(self, key, value):
-        if key in self and super().__getitem__(key) != value:
-            raise RuntimeError(f"memo value for {key!r} would change")
-        super().__setitem__(key, value)
-
-
 @dataclass(frozen=True)
 class LbfsResult:
     flag: bool
@@ -101,9 +92,7 @@ class PrefixChain:
 def _pairs_of(knowledge) -> frozenset:
     if isinstance(knowledge, BackgroundKnowledge):
         return knowledge.pairs
-    if knowledge is None:
-        return frozenset()
-    return frozenset((int(u), int(v)) for u, v in knowledge)
+    return BackgroundKnowledge(() if knowledge is None else knowledge).pairs
 
 
 class _Host:
@@ -422,16 +411,16 @@ class CountingSession:
     """One counting run over a fixed host skeleton and claim set.
 
     Holds the memo table over subproblem vertex masks and the shared
-    permutation caches; reusing a session (or its memo) with a different
-    host graph or claim set is unsound.
+    permutation caches; reusing a session with a different host graph or
+    claim set is unsound.
     """
 
-    def __init__(self, knowledge, *, psi_cap: int | None = None, memo: MemoTable | None = None):
+    def __init__(self, knowledge, *, psi_cap: int | None = None):
         pairs = _pairs_of(knowledge)
         cap = DEFAULT_PERMUTATION_CAP if psi_cap is None else psi_cap
         self.pairs = pairs
         self.ctx = _PermCounter(cap)
-        self.memo = MemoTable() if memo is None else memo
+        self.memo = {}
         self.lbfs_calls = 0
         self.lbfs_vertices = 0
         self.phi_chain_evals = 0
@@ -496,7 +485,6 @@ class CountingSession:
 def count_uccg(
     g: UndirectedGraph,
     knowledge,
-    memo: MemoTable | None = None,
     *,
     psi_cap: int | None = None,
     root=None,
@@ -504,8 +492,7 @@ def count_uccg(
     """Count the acyclic moral orientations of a connected chordal graph.
 
     ``root`` forces the root of the top-level clique tree; the result does
-    not depend on it.  A passed-in memo is only sound across calls sharing
-    one host graph and claim set.
+    not depend on it.
     """
     pairs = _pairs_of(knowledge)
     for u, v in pairs:
@@ -527,7 +514,7 @@ def count_uccg(
         if root.bit_count() != len(key) or root not in cliques:
             raise ValueError(f"{key} is not a maximal clique of the graph")
         cliques, parents = _reroot(cliques, parents, cliques.index(root))
-    session = CountingSession(pairs, psi_cap=psi_cap, memo=memo)
+    session = CountingSession(pairs, psi_cap=psi_cap)
     return session._count(host, host.full, (cliques, parents))
 
 

@@ -84,21 +84,17 @@ class PartiallyDirectedGraph:
     exactly one direction.
     """
 
-    __slots__ = (
-        "n", "undirected", "directed", "_skeleton_adj", "_undirected_part",
-        "_undirected_masks", "_undirected_trees",
-    )
+    __slots__ = ("n", "directed", "_masks", "_undirected_trees")
 
     def __init__(self, n: int, undirected=(), directed=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        und = set()
-        add = und.add
+        bit = [1 << v for v in range(n)]
+        masks = [0] * n
         for u, v in undirected:
-            if 0 <= u < v < n:
-                add((u, v))
-            elif 0 <= v < u < n:
-                add((v, u))
+            if 0 <= u < v < n or 0 <= v < u < n:
+                masks[u] |= bit[v]
+                masks[v] |= bit[u]
             else:
                 _raise_bad_edge(n, u, v)
         dire = set()
@@ -109,15 +105,20 @@ class PartiallyDirectedGraph:
                 raise ValueError(f"edge {u},{v} directed both ways")
             dire.add((u, v))
         for u, v in dire:
-            if (u, v) in und or (v, u) in und:
+            if masks[u] & bit[v]:
                 raise ValueError(f"edge {u},{v} is both directed and undirected")
         self.n = n
-        self.undirected = frozenset(und)
         self.directed = frozenset(dire)
-        self._skeleton_adj = None
-        self._undirected_part = None
-        self._undirected_masks = None
+        self._masks = tuple(masks)
         self._undirected_trees = None
+
+    @property
+    def undirected(self) -> frozenset:
+        """The undirected edges as pairs (u, v) with u < v, read off the
+        neighbour masks."""
+        return frozenset(
+            (u, v) for u, m in enumerate(self._masks) for v in _iter_bits(m >> (u + 1) << (u + 1))
+        )
 
     @property
     def skeleton_pairs(self) -> frozenset:
@@ -126,30 +127,20 @@ class PartiallyDirectedGraph:
         )
 
     def skeleton_adjacency(self) -> dict:
-        if self._skeleton_adj is None:
-            adj = {v: set() for v in range(self.n)}
-            for u, v in self.skeleton_pairs:
-                adj[u].add(v)
-                adj[v].add(u)
-            self._skeleton_adj = {v: frozenset(nb) for v, nb in adj.items()}
-        return self._skeleton_adj
+        adj = {v: set(_iter_bits(m)) for v, m in enumerate(self._masks)}
+        for u, v in self.directed:
+            adj[u].add(v)
+            adj[v].add(u)
+        return {v: frozenset(nb) for v, nb in adj.items()}
 
     def undirected_part(self) -> UndirectedGraph:
-        if self._undirected_part is None:
-            self._undirected_part = UndirectedGraph(self.n, self.undirected)
-        return self._undirected_part
+        return UndirectedGraph(self.n, self.undirected)
 
     def undirected_masks(self) -> tuple:
         """Neighbour mask of each vertex 0..n-1 in the undirected part: bit u
-        of entry v is set when u-v is an undirected edge."""
-        if self._undirected_masks is None:
-            bit = [1 << v for v in range(self.n)]
-            bits = [[] for _ in bit]
-            for u, v in self.undirected:
-                bits[u].append(bit[v])
-                bits[v].append(bit[u])
-            self._undirected_masks = tuple(map(sum, bits))
-        return self._undirected_masks
+        of entry v is set when u-v is an undirected edge.  This is the only
+        stored form of the undirected part."""
+        return self._masks
 
     def undirected_trees(self) -> tuple:
         """One ``(mask, cliques, parents)`` per component of the undirected
@@ -174,19 +165,19 @@ class PartiallyDirectedGraph:
 
     @property
     def is_fully_directed(self) -> bool:
-        return not self.undirected
+        return not any(self._masks)
 
     def __eq__(self, other):
         if isinstance(other, PartiallyDirectedGraph):
             return (
                 self.n == other.n
-                and self.undirected == other.undirected
+                and self._masks == other._masks
                 and self.directed == other.directed
             )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, self.undirected, self.directed))
+        return hash((self.n, self._masks, self.directed))
 
     def __repr__(self):
         return (
@@ -233,15 +224,14 @@ def validate(instance: MecInstance) -> list[str]:
     """
     g = instance.graph
     n = g.n
-    und, dire = g.undirected, g.directed
+    nbr, dire = g.undirected_masks(), g.directed
     msgs = []
     for u, v in sorted(instance.knowledge):
         if not (0 <= u < n and 0 <= v < n):
             msgs.append(f"knowledge claim {u}->{v} references an unknown vertex")
-        elif not ((u, v) in und or (v, u) in und or (u, v) in dire or (v, u) in dire):
+        elif not (nbr[u] >> v & 1 or (u, v) in dire or (v, u) in dire):
             msgs.append(f"knowledge claim {u}->{v} is not an edge of the graph")
 
-    nbr = g.undirected_masks()
     trees = g.undirected_trees()
     comp_of = [0] * n
     for ci, (comp, cliques, _) in enumerate(trees):

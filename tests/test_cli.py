@@ -283,3 +283,23 @@ class TestParser:
         with pytest.raises(SystemExit) as e:
             main([])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["gen", "--n", "0"], "not a positive integer: '0'"),
+            (["gen", "--n", "-3"], "not a positive integer: '-3'"),
+            (["gen", "--n", "10", "--k", "1"], "not an integer of at least 2: '1'"),
+            (["gen", "--n", "10", "--k", "x"], "not an integer of at least 2: 'x'"),
+            (["bench", "--n-list", "x"], "argument --n-list: invalid _int_list value: 'x'"),
+            (["bench", "--k-list", "3,y"], "argument --k-list: invalid _int_list value: '3,y'"),
+        ],
+    )
+    def test_bad_numbers_are_usage_errors(self, tmp_path, capsys, argv, message):
+        # exit 1 is kept for a mismatch, so a bad number must not end in a
+        # traceback
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert e.value.code == 2  # argparse's usage error
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -15,7 +15,6 @@ import amocount.mec as mec_module
 from amocount.counting import (
     DEFAULT_PERMUTATION_CAP,
     CountingSession,
-    MemoTable,
     PermutationCapError,
     PrefixChain,
     count_session,
@@ -74,16 +73,6 @@ def complete(n):
     import itertools
 
     return UndirectedGraph(n, itertools.combinations(range(n), 2))
-
-
-class TestTables:
-    def test_memo_is_write_once(self):
-        m = MemoTable()
-        key = frozenset({1, 2})
-        m[key] = 5
-        m[key] = 5  # rewriting the same value is fine
-        with pytest.raises(RuntimeError):
-            m[key] = 6
 
 
 class TestPrefixChain:
@@ -271,6 +260,24 @@ class TestPhi:
                     pairs.add((u, v))
         k = BackgroundKnowledge(pairs)
         assert phi(host, chain, k) == phi_bruteforce(host, chain, k), (host, chain, pairs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: psi({0, 1}, k),
+        lambda k: phi({0, 1}, [], k),
+        lambda k: count_uccg(UndirectedGraph(2, [(0, 1)]), k),
+    ],
+    ids=["psi", "phi", "count_uccg"],
+)
+def test_raw_claim_lists_reject_self_loops(call):
+    # A raw claim list goes through BackgroundKnowledge, so it is checked as
+    # the BackgroundKnowledge form is.
+    for claims in ([(0, 0)], [(0, 1), (1, 1)]):
+        with pytest.raises(ValueError, match="self-loop"):
+            call(claims)
+    assert call([(0, 1), (0, 1)]) == call(BackgroundKnowledge([(0, 1)])) == 1
 
 
 class TestLbfsBackground:
@@ -528,6 +535,40 @@ class TestIdentitiesAtScale:
         g = UndirectedGraph(n, itertools.combinations(range(n), 2))
         assert count_uccg(g, k) == math.factorial(n) // math.factorial(m)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_edge_split_and_monotonicity_at_100_to_300_vertices(self, seed):
+        # count(K) = count(K + u->v) + count(K + v->u) for an edge u-v outside
+        # K, and a claim added along an AMO keeps the count positive and never
+        # raises it.  Claims read off an LBFS order keep that order's AMO, so
+        # every count is positive and the permutation counts run.
+        rng = random.Random(95_000 + seed)
+        n = rng.randint(100, 300)
+        scale = math.log(n) / n
+        g = random_chordal(GenConfig(n=n, p_range=(1.5 * scale, 3 * scale), seed=seed))
+        graph = PartiallyDirectedGraph(n, g.edges())
+        pos = {v: i for i, v in enumerate(lbfs_order(g))}
+
+        def along(u, v):
+            return (u, v) if pos[u] < pos[v] else (v, u)
+
+        def count(k):
+            return count_session(MecInstance(graph, BackgroundKnowledge(k)), psi_cap=n).count
+
+        edges = g.edges()
+        rng.shuffle(edges)
+        claims = {along(u, v) for u, v in edges[:8]}
+        res = count_session(MecInstance(graph, BackgroundKnowledge(claims)), psi_cap=n)
+        base = res.count
+        assert base > 0 and res.stats.phi_chain_evaluations > 0
+        for u, v in edges[8:11]:
+            assert base == count(claims | {(u, v)}) + count(claims | {(v, u)}), (u, v)
+        cur, prev = set(claims), base
+        for u, v in edges[11:15]:
+            cur.add(along(u, v))
+            now = count(cur)
+            assert 0 < now <= prev, (u, v)
+            prev = now
+
 
 class TestForbiddenPrefixes:
     def test_seven_vertex_tree(self):
@@ -706,14 +747,6 @@ class TestCountUccg:
     def test_root_choice_does_not_matter(self):
         for c in maximal_cliques(SEVEN):
             assert count_uccg(SEVEN, BackgroundKnowledge([(2, 5)]), root=c) == 64
-
-    def test_shared_memo_is_reused(self):
-        memo = MemoTable()
-        k = BackgroundKnowledge([(2, 5)])
-        first = count_uccg(SEVEN, k, memo)
-        assert count_uccg(SEVEN, k, memo) == first
-        # keys are vertex masks over the host's sorted vertex tuple
-        assert memo[(1 << SEVEN.n) - 1] == first
 
     @pytest.mark.parametrize("seed", range(20))
     def test_labels_need_not_be_dense(self, seed):
