@@ -34,7 +34,16 @@ CSV_FIELDS = (
     "engine_version",
 )
 AGG_FIELDS = ("n", "k", "reps", "mean_time_ms", "median_time_ms")
-PAIR_FIELDS = ("n", "k", "size_1", "size_2", "time1_ms", "time2_ms")
+PAIR_FIELDS = (
+    "n",
+    "k",
+    "size_1",
+    "size_2",
+    "time1_ms",
+    "time2_ms",
+    "count1_is_zero",  # 1 when K1's count is zero, as count_is_zero in CSV_FIELDS
+    "count2_is_zero",
+)
 PAIR_REPS = 3  # each side of a pair reports the median of this many timings
 DRAWS_PER_PAIR = 10  # a comparison gives up after this many draws per wanted pair
 
@@ -149,8 +158,13 @@ def run_pair_comparison(n_list, k_list, pairs: int, seed: int, out_csv, *, psi_c
     the clique parameter, and both instances are timed (median of
     ``PAIR_REPS``).  A draw that cannot grow is a failure, and the run stops
     after ``DRAWS_PER_PAIR`` draws per wanted pair.  Rows: n, k, size_1,
-    size_2, time1_ms, time2_ms.  Returns ``(rows, failures)``.
+    size_2, time1_ms, time2_ms, count1_is_zero, count2_is_zero.  Returns
+    ``(rows, failures)``.
     """
+
+    def median_run(instance):
+        runs = [time_count(instance, psi_cap=psi_cap) for _ in range(PAIR_REPS)]
+        return runs[0][0], statistics.median(dt for _, dt in runs)
 
     def measure(n, k, s):
         base, g, _ = make_instance(n, k, s)
@@ -159,9 +173,10 @@ def run_pair_comparison(n_list, k_list, pairs: int, seed: int, out_csv, *, psi_c
         if not grew:
             raise GenerationError("no admissible extra edge")
         grown = MecInstance(base.graph, k2)
-        t1 = statistics.median(time_count(base, psi_cap=psi_cap)[1] for _ in range(PAIR_REPS))
-        t2 = statistics.median(time_count(grown, psi_cap=psi_cap)[1] for _ in range(PAIR_REPS))
-        row = dict(zip(PAIR_FIELDS, (n, k, len(k1), len(k2), t1, t2)))
+        r1, t1 = median_run(base)
+        r2, t2 = median_run(grown)
+        zeros = (int(r1.count == 0), int(r2.count == 0))
+        row = dict(zip(PAIR_FIELDS, (n, k, len(k1), len(k2), t1, t2, *zeros)))
         return row, f"|K1|={len(k1)} |K2|={len(k2)} t1={t1:.1f} ms t2={t2:.1f} ms"
 
     draws = []

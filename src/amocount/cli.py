@@ -71,8 +71,20 @@ def _default_psi_cap() -> int:
         return DEFAULT_PERMUTATION_CAP
 
 
-def _int_list(raw: str) -> list[int]:
-    return [int(x) for x in raw.split(",") if x.strip()]
+def _int_list_at_least(lo: int, what: str):
+    """An argparse type taking a nonempty comma-separated list of integers,
+    each of at least ``lo``; ``what`` names such a value in the usage error."""
+
+    def _int_list(raw: str) -> list[int]:
+        values = [int(x) for x in raw.split(",") if x.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"no integer in {raw!r}")
+        for value in values:
+            if value < lo:
+                raise argparse.ArgumentTypeError(f"not {what}: '{value}'")
+        return values
+
+    return _int_list
 
 
 def _print_stats(result, elapsed_ms):
@@ -223,9 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time seeded instances and write CSV")
     p.add_argument(
-        "--n-list", type=_int_list, default="50,100,150,200,250,300", metavar="N1,N2,..."
+        "--n-list",
+        type=_int_list_at_least(1, "a positive integer"),
+        default="50,100,150,200,250,300",
+        metavar="N1,N2,...",
     )
-    p.add_argument("--k-list", type=_int_list, default="3,4,5,6,7", metavar="K1,K2,...")
+    p.add_argument(
+        "--k-list",
+        type=_int_list_at_least(2, "an integer of at least 2"),
+        default="3,4,5,6,7",
+        metavar="K1,K2,...",
+    )
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--pairs", type=int, default=10, help="rows in --table1 mode")
     p.add_argument("--seed", type=int, default=0)

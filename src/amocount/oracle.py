@@ -198,11 +198,13 @@ def union_graph(orientations) -> PartiallyDirectedGraph:
     for m in members[1:]:
         if m.n != n or m.skeleton_pairs != skeleton:
             raise ValueError("orientation set members differ in skeleton")
+    masks = [m.undirected_masks() for m in members]
     undirected = []
     directed = []
     for u, v in sorted(skeleton):
-        fwd = any((u, v) in m.directed or (u, v) in m.undirected for m in members)
-        bwd = any((v, u) in m.directed or (u, v) in m.undirected for m in members)
+        both = any(um[u] >> v & 1 for um in masks)  # undirected in some member
+        fwd = both or any((u, v) in m.directed for m in members)
+        bwd = both or any((v, u) in m.directed for m in members)
         if fwd and bwd:
             undirected.append((u, v))
         elif fwd:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import amocount
+import amocount.bench as bench_module
 from amocount.cli import (
     EXIT_CAP,
     EXIT_INVALID,
@@ -266,10 +267,36 @@ class TestBench:
         assert proc.returncode == EXIT_MISMATCH
         with open(out, newline="") as fh:
             assert list(csv.reader(fh)) == [
-                ["n", "k", "size_1", "size_2", "time1_ms", "time2_ms"]
+                ["n", "k", "size_1", "size_2", "time1_ms", "time2_ms",
+                 "count1_is_zero", "count2_is_zero"]
             ]
         failed = [line for line in proc.stderr.splitlines() if line.startswith("failed:")]
         assert failed == ["failed: n=2 k=2: no admissible extra edge"] * 10
+
+    def test_growth_comparison_marks_zero_counts(self, tmp_path, monkeypatch):
+        counts = []
+        timed = bench_module.time_count
+
+        def recorded(instance, **kwargs):
+            result, dt = timed(instance, **kwargs)
+            counts.append(result.count)
+            return result, dt
+
+        monkeypatch.setattr(bench_module, "time_count", recorded)
+        out = str(tmp_path / "pairs.csv")
+        code = main(
+            ["bench", "--table1", "--n-list", "12", "--k-list", "3",
+             "--pairs", "4", "--seed", "0", "--out", out]
+        )
+        assert code in (EXIT_OK, EXIT_MISMATCH)  # a draw that cannot grow is reported
+        with open(out, newline="") as fh:
+            flags = [(r["count1_is_zero"], r["count2_is_zero"]) for r in csv.DictReader(fh)]
+        # each row times K1, then K2, PAIR_REPS times each
+        reps = bench_module.PAIR_REPS
+        rows = [counts[i : i + 2 * reps] for i in range(0, len(counts), 2 * reps)]
+        assert flags == [(str(int(c[0] == 0)), str(int(c[reps] == 0))) for c in rows]
+        # a grown claim set can count 0 where its base set does not
+        assert ("0", "1") in flags
 
 
 class TestParser:
@@ -301,5 +328,24 @@ class TestParser:
         with pytest.raises(SystemExit) as e:
             main([*argv, "--out", str(tmp_path / "out")])
         assert e.value.code == 2  # argparse's usage error
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bench", "--n-list", "0"], "argument --n-list: not a positive integer: '0'"),
+            (["bench", "--n-list", "5,0"], "argument --n-list: not a positive integer: '0'"),
+            (["bench", "--k-list", "1"], "argument --k-list: not an integer of at least 2: '1'"),
+            (["bench", "--n-list", ","], "argument --n-list: no integer in ','"),
+            (["bench", "--table1", "--k-list", " "], "argument --k-list: no integer in ' '"),
+        ],
+    )
+    def test_empty_or_low_bench_lists_are_usage_errors(self, tmp_path, capsys, argv, message):
+        # every draw of such a list would fail and exit 1, the code of a
+        # partly failed sweep, and an empty list made --table1 divide by zero
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert e.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -461,6 +461,98 @@ class TestLiveSweep:
         assert res.stats.lbfs_vertices == 0
 
 
+def visit_by_visit_lbfs(nbr, sub, seed, preds, collect_components, stop_on_reject=False, live=-1):
+    """``_lbfs`` with the seed clique visited one vertex at a time, through
+    the same loop as every other vertex."""
+    cells = [c for c in (sub & ~seed, seed) if c]  # the front cell is last
+    remaining = sub
+    marked = seed
+    order = []
+    comps = []
+    flag = True
+    while remaining & live:
+        cell = cells[-1]
+        low = cell & -cell
+        v = low.bit_length() - 1
+        if not marked & low:
+            marked |= cell
+            if collect_components:
+                if cell == low:  # a lone vertex is its own component
+                    comps.append(low)
+                else:
+                    comps.extend(_mask_components(nbr, cell))
+        order.append(v)
+        if preds is not None and preds[v] & sub & ~marked:
+            flag = False
+            if stop_on_reject:
+                break
+        remaining ^= low
+        cell ^= low
+        if cell:
+            cells[-1] = cell
+        else:
+            cells.pop()
+        split = nbr[v] & remaining
+        i = len(cells) - 1
+        while split:
+            cell = cells[i]
+            inside = cell & split
+            if inside:
+                split ^= inside
+                if inside != cell:
+                    cells[i] = cell ^ inside
+                    cells.insert(i + 1, inside)
+            i -= 1
+    return flag, comps, order
+
+
+def seed_phase_matches_visit_by_visit(g, knowledge, rng):
+    """Sweep from 0 and from every maximal clique of ``g`` and of the
+    subproblems of its first sweep, under every mix of claims, rejection and
+    ``live``, and check that ``_lbfs`` and the visit-by-visit sweep return the
+    same flag, components and order.  Returns the number of sweeps that
+    ended inside their seed."""
+    nbr = _masks(g)[1]
+    whole = (1 << g.n) - 1
+    cliques = _mcs_cliques(nbr, whole)[0]
+    host = _Host(g.vertices, nbr, knowledge.pairs, cliques)
+    no_claims = [0] * g.n
+    subs = [whole] + [h for h in _lbfs(nbr, whole, cliques[0], None, True)[1] if h & (h - 1)]
+    inside_seed = 0
+    for sub in subs:
+        for seed in [0] + _mcs_cliques(nbr, sub)[0]:
+            seed_only = seed & rng.getrandbits(g.n)  # leaves out all of sub & ~seed
+            for preds in (host.preds, no_claims, None):
+                for stop in (False, True):
+                    for live in (-1, host.live, seed_only):
+                        args = (nbr, sub, seed, preds, True, stop, live)
+                        got = _lbfs(*args)
+                        assert got == visit_by_visit_lbfs(*args), (sub, seed, stop, live)
+                        if seed and not sub & ~seed & live:
+                            inside_seed += 1
+                            assert got[1] == []
+    return inside_seed
+
+
+class TestSeedPhase:
+    """``_lbfs`` settles the seed clique before its visit loop; every flag,
+    component and order must be the visit-by-visit sweep's."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_small_chordal_graphs(self, seed):
+        g = random_uccg(seed, 3, 12)
+        k = random_claims(g, random.Random(98_000 + seed), "oriented")
+        assert seed_phase_matches_visit_by_visit(g, k, random.Random(seed)) > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_chordal_graphs_with_30_to_80_vertices(self, seed):
+        rng = random.Random(99_000 + seed)
+        n = rng.randint(30, 80)
+        scale = math.log(n) / n
+        g = random_chordal(GenConfig(n=n, p_range=(1.5 * scale, 3 * scale), seed=seed))
+        assert seed_phase_matches_visit_by_visit(g, edge_claims(g, rng, 8), rng) > 0
+
+
 def tree_distances(edges, n, source):
     """Distance from ``source`` to each of the n vertices of a tree."""
     adj = [[] for _ in range(n)]
