@@ -8,6 +8,7 @@ clock.  Per-run records go to the main CSV, mean and median aggregates per
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 import time
 from pathlib import Path
@@ -153,13 +154,17 @@ def run_bench(n_list, k_list, reps: int, seed: int, out_csv, *, psi_cap=None, lo
 def run_pair_comparison(n_list, k_list, pairs: int, seed: int, out_csv, *, psi_cap=None, log=None):
     """Compare each base knowledge set against its grown superset.
 
-    Draw i takes the i-th entries of ``n_list`` and ``k_list``, each read
-    cyclically.  Its base set K1 is generated, K2 grows it without moving
-    the clique parameter, and both instances are timed (median of
-    ``PAIR_REPS``).  A draw that cannot grow is a failure, and the run stops
-    after ``DRAWS_PER_PAIR`` draws per wanted pair.  Rows: n, k, size_1,
-    size_2, time1_ms, time2_ms, count1_is_zero, count2_is_zero.  Returns
-    ``(rows, failures)``.
+    Draw i takes ``n_list[i % N]`` and ``k_list[(i + i // L) % K]``, where N
+    and K are the list lengths and L their least common multiple.  Each run
+    of L draws meets L distinct (n, k) cells, and the k index moves one step
+    further after each run, so every cell comes up within N * K draws even
+    when the lengths share a factor (with coprime lengths the first L draws
+    already hold every cell).  A draw's base set K1 is generated, K2 grows
+    it without moving the clique parameter, and both instances are timed
+    (median of ``PAIR_REPS``).  A draw that cannot grow is a failure, and
+    the run stops after ``DRAWS_PER_PAIR`` draws per wanted pair.  Rows: n,
+    k, size_1, size_2, time1_ms, time2_ms, count1_is_zero, count2_is_zero.
+    Returns ``(rows, failures)``.
     """
 
     def median_run(instance):
@@ -180,8 +185,9 @@ def run_pair_comparison(n_list, k_list, pairs: int, seed: int, out_csv, *, psi_c
         return row, f"|K1|={len(k1)} |K2|={len(k2)} t1={t1:.1f} ms t2={t2:.1f} ms"
 
     draws = []
+    lcm = math.lcm(len(n_list), len(k_list))
     for i in range(DRAWS_PER_PAIR * pairs):
-        n, k = n_list[i % len(n_list)], k_list[i % len(k_list)]
+        n, k = n_list[i % len(n_list)], k_list[(i + i // lcm) % len(k_list)]
         draws.append((f"n={n} k={k}", n, k, derived_seed(seed, n, k, i)))
     rows, failures = _sweep(draws, measure, pairs, log)
     _write_csv(out_csv, PAIR_FIELDS, rows)

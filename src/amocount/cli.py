@@ -100,8 +100,8 @@ def _print_stats(result, elapsed_ms):
             f" (bound {2 * c.maximal_cliques - 1})",
             file=err,
         )
-    print(f"lbfs sweeps: {stats.lbfs_calls}", file=err)
-    print(f"lbfs vertices: {stats.lbfs_vertices}", file=err)
+    print(f"clique picks: {stats.clique_picks}", file=err)
+    print(f"walked cliques: {stats.walked_cliques}", file=err)
     print(f"clique permutation counts: {stats.phi_chain_evaluations}", file=err)
     print(f"prefix-free counts: {stats.phi_empty_evaluations}", file=err)
     print(f"consistency counts: {stats.psi_evaluations}", file=err)

@@ -1,15 +1,18 @@
 """The exact counting engine.
 
-Work happens per chordal component: a rooted clique tree is fixed, every
-maximal clique C is tested with a knowledge-aware LBFS sweep, and each
-consistent clique contributes the number of admissible permutations of C
-(those avoiding a chain of forbidden prefixes read off the clique tree)
-times the product of recursive counts on the subproblems the sweep leaves
-behind.  Subproblems are vertex masks over one host graph, whose neighbour
-masks an instance builds once (``PartiallyDirectedGraph.undirected_masks``),
-and no graph is ever built: one maximum cardinality search over the host's
-masks gives a subproblem's cliques and clique tree, and the instance's one
-search over its whole undirected part gives every component's
+Work happens per chordal component: a rooted clique tree is fixed and every
+maximal clique K is picked in turn.  A walk of the clique tree rooted at K
+groups the other cliques by their separators: each group's cliques minus
+the group's separator form one subproblem, and a claim from a subproblem
+into its separator rejects K.  Each consistent clique contributes the number
+of admissible permutations of K (those avoiding a chain of forbidden
+prefixes read off the clique tree) times the product of recursive counts on
+its subproblems.  Subproblems are vertex masks over one host graph, whose
+neighbour masks an instance builds once
+(``PartiallyDirectedGraph.undirected_masks``), and no graph is ever built:
+one maximum cardinality search over the host's masks gives a subproblem's
+cliques and clique tree, and the instance's one search over its whole
+undirected part gives every component's
 (``PartiallyDirectedGraph.undirected_trees``).  Results are memoized by
 that mask, and permutation counts by endpoint set.  All arithmetic is exact.
 """
@@ -101,16 +104,13 @@ class _Host:
     Position i holds vertex ``labels[i]``; ``nbr[i]`` is its neighbour mask
     (``nbr`` is None where only permutations are counted) and ``preds[i]``
     the mask of sources of the claims into it.  Subproblems are masks over
-    these positions; ``full`` is the whole graph.  ``targets`` is the mask
-    of claim targets, and ``live`` adds the vertices of every clique of
-    three or more vertices in ``cliques``.  Given all maximal cliques of the
-    graph, those are the vertices on a triangle, and a counting sweep may
-    end once no unvisited vertex is live (see ``graphs._lbfs``).
+    these positions; ``full`` is the whole graph and ``targets`` the mask of
+    claim targets.
     """
 
-    __slots__ = ("labels", "bit", "nbr", "preds", "full", "targets", "live")
+    __slots__ = ("labels", "bit", "nbr", "preds", "full", "targets")
 
-    def __init__(self, labels, nbr, pairs, cliques=()):
+    def __init__(self, labels, nbr, pairs):
         self.labels = labels
         self.bit = bit = {v: 1 << i for i, v in enumerate(labels)}
         self.nbr = nbr
@@ -121,11 +121,7 @@ class _Host:
             if u in bit and v in bit:
                 preds[bit[v].bit_length() - 1] |= bit[u]
                 targets |= bit[v]
-        self.targets = live = targets
-        for c in cliques:
-            if c.bit_count() > 2:
-                live |= c
-        self.live = live
+        self.targets = targets
 
     def mask(self, vertices) -> int:
         return sum(map(self.bit.__getitem__, vertices))
@@ -372,6 +368,78 @@ def _prefix_chains(cliques: list, parents: list) -> list:
     return chains
 
 
+def _clique_links(cliques: list, parents: list, preds, targets: int) -> list:
+    """For each clique, the neighbours in the clique tree whose side needs a
+    walk: the side beyond that neighbour holds a clique of three or more
+    vertices, or a two-vertex clique that carries a claim.  Each link is a
+    triple ``(neighbour, separator, ban)``: the separator is the two
+    cliques' intersection, and the ban the mask of the sources of the
+    claims into it.
+
+    A two-vertex clique {a, b} reached from a is a group of its own with
+    subproblem {b}: the separator {a} strictly holds no nonempty separator,
+    and the separators of the cliques beyond it are one vertex too.  Only a
+    claim b -> a can then reject.  So a side of claim-free two-vertex cliques
+    leaves lone vertices, which count 1, and ``_walk_groups`` skips it.
+    ``parents`` lists each clique's parent (None at clique 0, the root),
+    parents before their children.
+    """
+    below = [
+        c.bit_count() > 2 or any(preds[v] & c for v in _iter_bits(c & targets))
+        for c in cliques
+    ]  # then the number of such cliques in each subtree
+    for i in range(len(cliques) - 1, 0, -1):
+        below[parents[i]] += below[i]
+    total = below[0]
+    links = [[] for _ in cliques]
+    for i in range(1, len(cliques)):
+        p = parents[i]
+        sep = cliques[i] & cliques[p]
+        ban = 0
+        for v in _iter_bits(sep & targets):
+            ban |= preds[v]
+        if below[i]:
+            links[p].append((i, sep, ban))
+        if below[i] < total:
+            links[i].append((p, sep, ban))
+    return links
+
+
+def _walk_groups(cliques: list, links: list, root: int):
+    """The subproblems left by picking clique ``root``, read off the clique
+    tree rooted there (Wienöbst, Bannach and Liśkiewicz 2021).
+
+    The walk goes down from ``root`` along ``links`` (see
+    ``_clique_links``).  A clique C reached from its parent P, with separator
+    s = C & P, joins P's group when P is not the root and s strictly holds
+    that group's separator S; otherwise C starts a new group with S = s.
+    Each group's cliques minus S form one connected subproblem, and the
+    picked clique is rejected exactly when some claim u -> v has u in a
+    group's subproblem and v in that group's S.
+
+    Returns ``(flag, subproblems, walked)``: the flag is False on a rejection,
+    which ends the walk with no subproblems; ``walked`` counts the cliques
+    the walk reached.
+    """
+    groups = []  # [S, subproblem, claim sources into S], one per group
+    queue = [(root, None, None)]  # each reached clique, where from, its group
+    for x, came, group in queue:
+        for y, s, ban in links[x]:
+            if y == came:
+                continue
+            if group is None or s == group[0] or group[0] & ~s:
+                group_y = [s, 0, ban]
+                groups.append(group_y)
+            else:  # s strictly holds the group's S
+                group_y = group
+            new = cliques[y] & ~group_y[0]
+            if group_y[2] & new:
+                return False, [], len(queue)
+            group_y[1] |= new
+            queue.append((y, x, group_y))
+    return True, [sub for _, sub, _ in groups], len(queue) - 1
+
+
 @dataclass(frozen=True)
 class ComponentStats:
     vertices: int
@@ -382,8 +450,8 @@ class ComponentStats:
 @dataclass(frozen=True)
 class SessionStats:
     components: tuple
-    lbfs_calls: int
-    lbfs_vertices: int
+    clique_picks: int
+    walked_cliques: int
     phi_chain_evaluations: int
     phi_empty_evaluations: int
     psi_evaluations: int
@@ -421,8 +489,8 @@ class CountingSession:
         self.pairs = pairs
         self.ctx = _PermCounter(cap)
         self.memo = {}
-        self.lbfs_calls = 0
-        self.lbfs_vertices = 0
+        self.clique_picks = 0
+        self.walked_cliques = 0
         self.phi_chain_evals = 0
         self.memo_hits = 0
 
@@ -431,50 +499,56 @@ class CountingSession:
 
         ``tree`` is its ``(cliques, parents)`` where the caller has them,
         parents listed before their children; otherwise one MCS pass over the
-        host's masks gives them on a memo miss.  Lone vertices left by a
-        sweep count 1 and are never passed here.
+        host's masks gives them on a memo miss.  Each clique is picked in
+        turn, and a walk of the clique tree rooted there gives its
+        subproblems (``_walk_groups``); lone vertices count 1 and are never
+        passed here.
 
         From a subproblem of two or more vertices the recursion is at most
-        w - 1 calls deep, w the size of the largest clique.  A subproblem
-        lies in one front cell of its parent's sweep, and the vertices of
-        that cell share a nonempty set of earlier neighbours, so some vertex
-        x of the parent is adjacent to the whole subproblem.  Each level's x
-        lies inside every subproblem above it, so the x of all levels are
-        pairwise adjacent, and with an edge of the deepest subproblem
-        (connected, two or more vertices) they form a clique.
+        w - 1 calls deep, w the size of the largest clique.  A subproblem is
+        a group's cliques minus the group's separator S, which is not empty,
+        and every clique of the group holds S (each clique's separator holds
+        its group's S).  So some vertex x of the parent is adjacent to the
+        whole subproblem.  Each level's x lies inside every subproblem above
+        it, so the x of all levels are pairwise adjacent, and with an edge of
+        the deepest subproblem (connected, two or more vertices) they form a
+        clique.
         """
         val = self.memo.get(sub)
         if val is not None:
             self.memo_hits += 1
             return val
         cliques, parents = _mcs_cliques(host.nbr, sub) if tree is None else tree
+        preds = host.preds
+        targets = host.targets
         if len(cliques) == 1:
-            val = self.ctx.phi_empty(sub, host.preds, host.targets)
+            val = self.ctx.phi_empty(sub, preds, targets)
             self.memo[sub] = val
             return val
         chains = _prefix_chains(cliques, parents)
-        preds = host.preds
+        links = _clique_links(cliques, parents, preds, targets)
         total = 0
         for i, clique in enumerate(cliques):
-            self.lbfs_calls += 1
-            flag, comps, order = _lbfs(host.nbr, sub, clique, preds, True, True, host.live)
-            self.lbfs_vertices += len(order)
-            if not flag:
-                continue
+            self.clique_picks += 1
             prod = 1
-            for h in comps:
-                if h & (h - 1):
-                    prod *= self._count(host, h)
+            if links[i]:  # otherwise every subproblem is a lone vertex
+                flag, subs, walked = _walk_groups(cliques, links, i)
+                self.walked_cliques += walked
+                if not flag:
+                    continue
+                for h in subs:
+                    if h & (h - 1):
+                        prod *= self._count(host, h)
             self.phi_chain_evals += 1
-            total += prod * _phi_with_ctx(self.ctx, clique, chains[i], preds, host.targets)
+            total += prod * _phi_with_ctx(self.ctx, clique, chains[i], preds, targets)
         self.memo[sub] = total
         return total
 
     def stats(self, components) -> SessionStats:
         return SessionStats(
             components=tuple(components),
-            lbfs_calls=self.lbfs_calls,
-            lbfs_vertices=self.lbfs_vertices,
+            clique_picks=self.clique_picks,
+            walked_cliques=self.walked_cliques,
             phi_chain_evaluations=self.phi_chain_evals,
             phi_empty_evaluations=self.ctx.phi0_evals,
             psi_evaluations=self.ctx.psi_evals,
@@ -506,7 +580,7 @@ def count_uccg(
         raise ValueError("clique tree requires a connected graph")
     if not _all_cliques(nbr, cliques):  # see graphs._all_cliques
         raise ValueError("graph is not chordal")
-    host = _Host(g.vertices, nbr, pairs, cliques)
+    host = _Host(g.vertices, nbr, pairs)
     if root is not None:
         key = tuple(sorted(root))
         root = host.mask(key) if g.vertex_set.issuperset(key) else 0
@@ -535,11 +609,9 @@ def count_session(instance: MecInstance, *, psi_cap: int | None = None) -> Sessi
     else:
         # One host over the whole undirected part keeps the masks of all
         # components in one bit space, so they share the memo soundly.
-        trees = graph.undirected_trees()
-        every_clique = (c for _, cliques, _ in trees for c in cliques)
-        host = _Host(range(graph.n), graph.undirected_masks(), session.pairs, every_clique)
+        host = _Host(range(graph.n), graph.undirected_masks(), session.pairs)
         count = 1
-        for sub, cliques, parents in trees:
+        for sub, cliques, parents in graph.undirected_trees():
             before = len(session.memo)
             count *= session._count(host, sub, (cliques, parents))
             comp_stats.append(

@@ -12,7 +12,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import UndirectedGraph, _iter_bits, _mask_components, clique_tree, maximal_cliques
+from .graphs import (
+    UndirectedGraph,
+    _iter_bits,
+    _lbfs,
+    _mask_components,
+    _masks,
+    clique_tree,
+    maximal_cliques,
+)
 from .mec import BackgroundKnowledge
 
 
@@ -175,6 +183,29 @@ def gen_background(g: UndirectedGraph, k_target: int, seed: int) -> BackgroundKn
     raise GenerationError(
         f"could not reach the requested clique knowledge k={k_target}"
     )
+
+
+def gen_amo_claims(g: UndirectedGraph, count: int, seed: int) -> BackgroundKnowledge:
+    """``count`` edges of the chordal graph ``g`` (all of them if it has
+    fewer), oriented as one acyclic moral orientation.
+
+    The orientation follows an LBFS order seeded at a random maximal clique,
+    the reverse of a perfect elimination ordering, so it has no directed
+    cycle and no v-structure: the claims hold in it, and any instance made
+    of ``g`` and these claims counts at least 1.
+    """
+    if count < 0:
+        raise ValueError(f"claim count must be nonnegative, got {count}")
+    rng = random.Random(seed)
+    edges = g.edges()
+    if not count or not edges:
+        return BackgroundKnowledge.empty()
+    bit, nbr = _masks(g)
+    start = rng.choice(maximal_cliques(g))
+    _, _, order = _lbfs(nbr, (1 << g.n) - 1, sum(map(bit.__getitem__, start)), None, False)
+    pos = {g.vertices[p]: i for i, p in enumerate(order)}
+    arcs = [(u, v) if pos[u] < pos[v] else (v, u) for u, v in edges]
+    return BackgroundKnowledge(rng.sample(arcs, min(count, len(arcs))))
 
 
 def grow_background(g: UndirectedGraph, k_base: BackgroundKnowledge, seed: int):

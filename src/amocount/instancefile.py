@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .graphs import _iter_bits
 from .mec import BackgroundKnowledge, MecInstance, PartiallyDirectedGraph
 
 FORMAT_NAME = "mec-count-instance"
@@ -114,11 +115,15 @@ def load_instance(path) -> InstanceDocument:
 def serialize_instance(doc: InstanceDocument) -> str:
     labels = doc.labels
     g = doc.instance.graph
+    undirected = []  # one row per edge u-v with u < v, read off the masks
+    for u, mask in enumerate(g.undirected_masks()):
+        label = labels[u]
+        undirected += [[label, labels[v]] for v in _iter_bits(mask >> u + 1 << u + 1)]
     body = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "vertices": sorted(labels),
-        "undirected_edges": sorted([labels[u], labels[v]] for u, v in g.undirected),
+        "undirected_edges": sorted(undirected),
         "directed_edges": sorted([labels[u], labels[v]] for u, v in g.directed),
         "knowledge": sorted([labels[u], labels[v]] for u, v in doc.instance.knowledge),
         "metadata": doc.metadata,

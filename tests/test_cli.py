@@ -61,13 +61,13 @@ class TestCount:
         assert "memo hits" in out.err
 
     def test_stats_show_the_sweep_work(self, tmp_path, capsys):
-        # the sweep from the triangle abc ends before d, a lone vertex off
-        # every triangle; the one from the edge cd visits all four
+        # picking the triangle abc leaves d, a lone vertex beyond the
+        # claim-free edge cd, so no clique is walked; picking cd walks abc
         path = paw_instance(tmp_path)
         assert main(["count", path, "--stats"]) == EXIT_OK
         lines = capsys.readouterr().err.splitlines()
-        at = lines.index("lbfs sweeps: 2")
-        assert lines[at + 1] == "lbfs vertices: 7"
+        at = lines.index("clique picks: 2")
+        assert lines[at + 1] == "walked cliques: 1"
 
     def test_missing_file(self, capsys):
         assert main(["count", "/nonexistent/x.json"]) == EXIT_INVALID
@@ -297,6 +297,21 @@ class TestBench:
         assert flags == [(str(int(c[0] == 0)), str(int(c[reps] == 0))) for c in rows]
         # a grown claim set can count 0 where its base set does not
         assert ("0", "1") in flags
+
+
+    def test_growth_comparison_reaches_every_cell_of_equal_length_lists(self, tmp_path, capsys):
+        # zipping two lists of length 2 would only ever draw (12, 2) and (16, 3)
+        out = str(tmp_path / "pairs.csv")
+        code = main(
+            ["bench", "--table1", "--n-list", "12,16", "--k-list", "2,3",
+             "--pairs", "4", "--seed", "0", "--out", out, "--verbose"]
+        )
+        assert code in (EXIT_OK, EXIT_MISMATCH)  # k = 2 leaves no claim to grow by
+        drawn = [
+            line.split(":")[0] for line in capsys.readouterr().err.splitlines()
+            if line.startswith("n=")
+        ]
+        assert drawn[:4] == ["n=12 k=2", "n=16 k=3", "n=12 k=3", "n=16 k=2"]
 
 
 class TestParser:

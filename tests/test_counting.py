@@ -1,4 +1,5 @@
-"""The counting core: permutation counts, the LBFS sweep, the recursion."""
+"""The counting core: permutation counts, the LBFS sweep, the clique-tree
+walk, the recursion."""
 
 import itertools
 import math
@@ -24,10 +25,12 @@ from amocount.counting import (
     phi,
     psi,
     _Host,
+    _clique_links,
     _prefix_chains,
     _reroot,
+    _walk_groups,
 )
-from amocount.generators import GenConfig, random_chordal
+from amocount.generators import GenConfig, gen_amo_claims, random_chordal
 from amocount.graphs import (
     RootedCliqueTree,
     UndirectedGraph,
@@ -386,6 +389,17 @@ def edge_claims(g, rng, most):
     return BackgroundKnowledge((u, v) if rng.random() < 0.5 else (v, u) for u, v in picked)
 
 
+def live_mask(host, cliques):
+    """The claim targets and the vertices of every clique of three or more
+    vertices in ``cliques``: given all maximal cliques of the graph, those
+    are the vertices on a triangle."""
+    live = host.targets
+    for c in cliques:
+        if c.bit_count() > 2:
+            live |= c
+    return live
+
+
 def live_and_full_sweeps(g, knowledge):
     """Sweep each component of ``g`` from each of its maximal cliques, once
     with the host's ``live`` mask and once in full, both stopping on a
@@ -393,16 +407,17 @@ def live_and_full_sweeps(g, knowledge):
     Returns the number of vertices the live sweeps visited."""
     nbr = _masks(g)[1]
     whole = (1 << g.n) - 1
-    host = _Host(g.vertices, nbr, knowledge.pairs, _mcs_cliques(nbr, whole)[0])
+    host = _Host(g.vertices, nbr, knowledge.pairs)
+    live = live_mask(host, _mcs_cliques(nbr, whole)[0])
     on_triangle = sum(
         1 << v for v in range(g.n) if any(nbr[v] & nbr[u] for u in _iter_bits(nbr[v]))
     )
-    assert host.live == host.targets | on_triangle
+    assert live == host.targets | on_triangle
     assert host.targets == sum(1 << v for v in range(g.n) if host.preds[v])
     visited = 0
     for sub in _mask_components(nbr, whole):
         for clique in _mcs_cliques(nbr, sub)[0]:
-            flag, comps, order = _lbfs(nbr, sub, clique, host.preds, True, True, host.live)
+            flag, comps, order = _lbfs(nbr, sub, clique, host.preds, True, True, live)
             full_flag, full_comps, full_order = _lbfs(nbr, sub, clique, host.preds, True, True)
             assert flag == full_flag
             assert order == full_order[: len(order)]
@@ -457,8 +472,8 @@ class TestLiveSweep:
     def test_claim_free_paths_and_stars_sweep_no_vertex(self, n, edges):
         res = count_session(MecInstance(PartiallyDirectedGraph(n, edges), BackgroundKnowledge()))
         assert res.count == n
-        assert res.stats.lbfs_calls == n - 1
-        assert res.stats.lbfs_vertices == 0
+        assert res.stats.clique_picks == n - 1
+        assert res.stats.walked_cliques == 0
 
 
 def visit_by_visit_lbfs(nbr, sub, seed, preds, collect_components, stop_on_reject=False, live=-1):
@@ -515,7 +530,8 @@ def seed_phase_matches_visit_by_visit(g, knowledge, rng):
     nbr = _masks(g)[1]
     whole = (1 << g.n) - 1
     cliques = _mcs_cliques(nbr, whole)[0]
-    host = _Host(g.vertices, nbr, knowledge.pairs, cliques)
+    host = _Host(g.vertices, nbr, knowledge.pairs)
+    host_live = live_mask(host, cliques)
     no_claims = [0] * g.n
     subs = [whole] + [h for h in _lbfs(nbr, whole, cliques[0], None, True)[1] if h & (h - 1)]
     inside_seed = 0
@@ -524,7 +540,7 @@ def seed_phase_matches_visit_by_visit(g, knowledge, rng):
             seed_only = seed & rng.getrandbits(g.n)  # leaves out all of sub & ~seed
             for preds in (host.preds, no_claims, None):
                 for stop in (False, True):
-                    for live in (-1, host.live, seed_only):
+                    for live in (-1, host_live, seed_only):
                         args = (nbr, sub, seed, preds, True, stop, live)
                         got = _lbfs(*args)
                         assert got == visit_by_visit_lbfs(*args), (sub, seed, stop, live)
@@ -551,6 +567,98 @@ class TestSeedPhase:
         scale = math.log(n) / n
         g = random_chordal(GenConfig(n=n, p_range=(1.5 * scale, 3 * scale), seed=seed))
         assert seed_phase_matches_visit_by_visit(g, edge_claims(g, rng, 8), rng) > 0
+
+
+def walk_matches_full_sweep(g, knowledge, rng):
+    """Pick every maximal clique of every component of ``g``, its clique tree
+    rooted at a random clique, and check the walk against the full ``_lbfs``
+    sweep: the same flag and, when it holds, the same subproblems of two or
+    more vertices.  A walk over every side of the tree must give every
+    subproblem, lone vertices too.  Returns the number of accepted picks that
+    leave a subproblem of two or more vertices."""
+    nbr = _masks(g)[1]
+    host = _Host(g.vertices, nbr, knowledge.pairs)
+    preds, targets = host.preds, host.targets
+    recursing = 0
+    for sub in _mask_components(nbr, host.full):
+        cliques, parents = _mcs_cliques(nbr, sub)
+        cliques, parents = _reroot(cliques, parents, rng.randrange(len(cliques)))
+        links = _clique_links(cliques, parents, preds, targets)
+        every_side = [[] for _ in cliques]  # links that skip no side
+        for i, p in enumerate(parents[1:], 1):
+            sep = cliques[i] & cliques[p]
+            ban = 0
+            for v in _iter_bits(sep):
+                ban |= preds[v]
+            every_side[i].append((p, sep, ban))
+            every_side[p].append((i, sep, ban))
+        for i, clique in enumerate(cliques):
+            flag, comps, _ = _lbfs(nbr, sub, clique, preds, True)
+            got, subs, walked = _walk_groups(cliques, links, i)
+            assert got == flag, (sub, i)
+            assert walked < len(cliques)
+            whole, all_subs, _ = _walk_groups(cliques, every_side, i)
+            assert whole == flag, (sub, i)
+            if flag:
+                expected = sorted(h for h in comps if h & (h - 1))
+                assert sorted(h for h in subs if h & (h - 1)) == expected, (sub, i)
+                assert sorted(all_subs) == sorted(comps), (sub, i)
+                recursing += bool(expected)
+    return recursing
+
+
+def walk_claims(g, rng):
+    """No claims, random edge claims and claims read off one acyclic moral
+    orientation."""
+    return (
+        BackgroundKnowledge(),
+        edge_claims(g, rng, 8),
+        gen_amo_claims(g, rng.randint(1, 8), rng.randrange(10**6)),
+    )
+
+
+class TestCliqueWalk:
+    """Each pick's subproblems come from a walk of the clique tree rooted at
+    the picked clique; the flag and every subproblem of two or more vertices
+    must be the full LBFS sweep's."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_small_chordal_graphs(self, seed):
+        rng = random.Random(100_000 + seed)
+        g = random_uccg(seed, 3, 12)
+        for k in walk_claims(g, rng):
+            walk_matches_full_sweep(g, k, rng)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_sparse_chordal_graphs(self, seed):
+        rng = random.Random(101_000 + seed)
+        g = sparse_chordal(rng, rng.randint(5, 60))
+        for k in walk_claims(g, rng):
+            walk_matches_full_sweep(g, k, rng)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_trees_and_caterpillars(self, seed):
+        rng = random.Random(102_000 + seed)
+        if seed % 2:
+            g = caterpillar(rng, rng.randint(3, 20))
+        else:
+            n = rng.randint(5, 60)
+            g = UndirectedGraph(n, random_tree(rng, n))
+        for k in walk_claims(g, rng):
+            # every subproblem of a tree is a lone vertex
+            assert walk_matches_full_sweep(g, k, rng) == 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_chordal_graphs_with_30_to_80_vertices(self, seed):
+        rng = random.Random(103_000 + seed)
+        n = rng.randint(30, 80)
+        scale = math.log(n) / n
+        g = random_chordal(GenConfig(n=n, p_range=(1.5 * scale, 3 * scale), seed=seed))
+        none, edges, amo = walk_claims(g, rng)
+        walk_matches_full_sweep(g, none, rng)
+        walk_matches_full_sweep(g, edges, rng)
+        # claims that hold in one orientation leave picks that recurse
+        assert walk_matches_full_sweep(g, amo, rng) > 0
 
 
 def tree_distances(edges, n, source):
@@ -757,7 +865,7 @@ class TestMaskCliqueTree:
         monkeypatch.setattr(counting_module, "_masks", forbidden)
         monkeypatch.setattr(counting_module, "clique_tree", forbidden)
         assert session._count(host, host.full) == expected
-        assert session.lbfs_calls > 1
+        assert session.clique_picks > 1
 
     def test_ingest_and_count_build_no_graph(self, monkeypatch):
         instances = [random_chain_instance(seed) for seed in range(4)]
@@ -872,7 +980,7 @@ class TestCountSession:
         assert comp.maximal_cliques == 3
         assert comp.distinct_subproblems <= 2 * 3 - 1
         assert res.stats.within_recursion_bound()
-        assert res.stats.lbfs_calls > 0
+        assert res.stats.clique_picks > 0
 
     def test_multi_component_product(self):
         g = UndirectedGraph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
@@ -902,18 +1010,19 @@ class TestCountSession:
     @pytest.mark.parametrize("seed", range(24))
     def test_stats_count_every_visited_vertex(self, seed, monkeypatch):
         inst = random_chain_instance(seed) if seed % 2 else uccg_instance(random_uccg(seed, 4, 12))
-        inner = counting_module._lbfs
-        visited = []
+        inner = counting_module._walk_groups
+        walked = []
 
         def counted(*args):
             out = inner(*args)
-            visited.append(len(out[2]))
+            walked.append(out[2])
             return out
 
-        monkeypatch.setattr(counting_module, "_lbfs", counted)
+        monkeypatch.setattr(counting_module, "_walk_groups", counted)
         stats = count_session(inst).stats
-        assert stats.lbfs_calls == len(visited)
-        assert stats.lbfs_vertices == sum(visited)
+        # a pick whose every side is claim-free two-vertex cliques walks nothing
+        assert stats.clique_picks >= len(walked)
+        assert stats.walked_cliques == sum(walked)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_component_stats_match_the_components(self, seed):

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from amocount.counting import psi
+from amocount.counting import count_session, psi
 from amocount.generators import (
     GenConfig,
     GenerationError,
+    gen_amo_claims,
     gen_background,
     grow_background,
     random_chordal,
@@ -114,6 +115,29 @@ class TestGenBackground:
         g = random_chordal(GenConfig(n=8, seed=0))
         with pytest.raises(ValueError):
             gen_background(g, 1, 0)
+
+
+class TestGenAmoClaims:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_claims_are_edges_and_the_count_is_positive(self, seed):
+        g = random_chordal(GenConfig(n=20 + seed, p_range=(0.1, 0.2), seed=seed))
+        k = gen_amo_claims(g, 8, seed)
+        assert len(k) == min(8, g.num_edges)
+        assert all(g.has_edge(u, v) for u, v in k)
+        assert count_session(uccg_instance(g, k)).count > 0
+        assert gen_amo_claims(g, 8, seed) == k
+
+    def test_all_edges_orient_one_amo(self):
+        g = random_chordal(GenConfig(n=9, seed=3))
+        k = gen_amo_claims(g, g.num_edges + 5, 0)
+        assert len(k) == g.num_edges
+        assert count_session(uccg_instance(g, k)).count == 1
+
+    def test_no_claims(self):
+        g = random_chordal(GenConfig(n=6, seed=1))
+        assert len(gen_amo_claims(g, 0, 0)) == 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            gen_amo_claims(g, -1, 0)
 
 
 class TestGrowBackground:

@@ -1,6 +1,7 @@
 """The JSON instance format: parsing, canonical serialization, diagnostics."""
 
 import json
+import random
 
 import pytest
 
@@ -167,6 +168,19 @@ class TestSerialize:
         assert body["vertices"] == ["v0", "v1", "v2"]
         assert body["directed_edges"] == [["v1", "v2"]]
         assert body["knowledge"] == [["v0", "v1"]]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_undirected_rows_are_the_edge_pairs(self, seed):
+        # labels out of vertex order: a row keeps the lower vertex first
+        rng = random.Random(seed)
+        n = rng.randint(2, 30)
+        labels = tuple(f"x{i}" for i in rng.sample(range(1000), n))
+        g = PartiallyDirectedGraph(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        )
+        doc = InstanceDocument(labels, MecInstance(g, BackgroundKnowledge()))
+        body = json.loads(serialize_instance(doc))
+        assert body["undirected_edges"] == sorted([labels[u], labels[v]] for u, v in g.undirected)
 
 
 class TestDefaultLabels:
