@@ -1,20 +1,23 @@
 """The exact counting engine.
 
 Work happens per chordal component: a rooted clique tree is fixed and every
-maximal clique K is picked in turn.  A walk of the clique tree rooted at K
-groups the other cliques by their separators: each group's cliques minus
-the group's separator form one subproblem, and a claim from a subproblem
-into its separator rejects K.  Each consistent clique contributes the number
-of admissible permutations of K (those avoiding a chain of forbidden
-prefixes read off the clique tree) times the product of recursive counts on
-its subproblems.  Subproblems are vertex masks over one host graph, whose
-neighbour masks an instance builds once
+maximal clique K is picked in turn.  Picking K groups the other cliques of
+the tree rooted at K by their separators: each group's cliques minus the
+group's separator form one subproblem, and a claim from a subproblem into
+its separator rejects K.  A group depends only on the clique-tree link it
+starts on, so one table per subproblem, with an entry per directed link,
+gives every pick's flag and subproblems, and each subproblem comes with
+its clique tree: the group's cliques minus the separator.  Each consistent
+clique contributes the number of admissible permutations of K (those
+avoiding a chain of forbidden prefixes read off the clique tree) times the
+product of recursive counts on its subproblems.  Subproblems are vertex
+masks over one host graph, whose neighbour masks an instance builds once
 (``PartiallyDirectedGraph.undirected_masks``), and no graph is ever built:
-one maximum cardinality search over the host's masks gives a subproblem's
-cliques and clique tree, and the instance's one search over its whole
-undirected part gives every component's
-(``PartiallyDirectedGraph.undirected_trees``).  Results are memoized by
-that mask, and permutation counts by endpoint set.  All arithmetic is exact.
+the instance's one maximum cardinality search over its whole undirected
+part gives every component's cliques and clique tree
+(``PartiallyDirectedGraph.undirected_trees``), and every subproblem below
+takes the tree its pick hands down.  Results are memoized by that mask, and
+permutation counts by endpoint set.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -229,7 +232,14 @@ class _PermCounter:
 
     def phi_empty(self, x: int, preds, targets: int) -> int:
         """Consistent permutations of the mask x, no prefix forbidden
-        (``targets`` is the mask of claim targets)."""
+        (``targets`` is the mask of claim targets).
+
+        A mask with no claim target holds no claim, so it counts |x|! with
+        no cache lookup; only masks that hold a target are cached and
+        counted in ``phi0_evals``.
+        """
+        if not x & targets:
+            return math.factorial(x.bit_count())
         val = self._phi0.get(x)
         if val is None:
             self.phi0_evals += 1
@@ -368,76 +378,106 @@ def _prefix_chains(cliques: list, parents: list) -> list:
     return chains
 
 
-def _clique_links(cliques: list, parents: list, preds, targets: int) -> list:
-    """For each clique, the neighbours in the clique tree whose side needs a
-    walk: the side beyond that neighbour holds a clique of three or more
-    vertices, or a two-vertex clique that carries a claim.  Each link is a
-    triple ``(neighbour, separator, ban)``: the separator is the two
-    cliques' intersection, and the ban the mask of the sources of the
-    claims into it.
+def _group_table(cliques: list, parents: list, preds, targets: int) -> tuple[list, int]:
+    """What picking each clique leaves behind, from one pass per clique-tree
+    side (Wienöbst, Bannach and Liśkiewicz 2021).
 
-    A two-vertex clique {a, b} reached from a is a group of its own with
-    subproblem {b}: the separator {a} strictly holds no nonempty separator,
-    and the separators of the cliques beyond it are one vertex too.  Only a
-    claim b -> a can then reject.  So a side of claim-free two-vertex cliques
-    leaves lone vertices, which count 1, and ``_walk_groups`` skips it.
+    Picking K splits the rest of the clique tree rooted at K into groups.
+    A clique C reached from P, with separator s = C & P, joins P's group
+    when P is not K and s strictly holds that group's separator S;
+    otherwise C starts a new group with S = s.  Each group's cliques minus
+    S form one connected subproblem, and K is rejected exactly when a claim
+    points from a group's subproblem into its S.
+
+    A group started on the link x -> y has the separator S and the ban (the
+    sources of the claims into S) of that link alone, and from y on a link
+    c -> z joins it iff S is strictly inside the link's separator.  So the
+    group, its rejection and the groups it starts depend on that one link,
+    and the table holds one entry per directed link: None when the side
+    beyond it rejects, else its subproblems of two or more vertices, each
+    with its clique tree ``(cliques minus S in visit order, parents)``.
+    An entry reads only the entries of the links its group starts, which
+    lie further out, so the links from a parent to a child are filled from
+    the last child back to the first, then the links from a child to its
+    parent from the first child on, with no recursion.
+
+    Links only go to sides that hold a clique of three or more vertices or
+    a two-vertex clique that carries a claim.  A two-vertex clique {a, b}
+    reached from a starts a group with subproblem {b}: its separator {a}
+    strictly holds no nonempty separator, and the separators beyond it are
+    one vertex too, so only a claim b -> a can reject there.  A side of
+    claim-free two-vertex cliques leaves lone vertices, which count 1.
+
     ``parents`` lists each clique's parent (None at clique 0, the root),
-    parents before their children.
+    parents before their children.  Returns ``(sides, walked)``: ``sides[i]``
+    lists the entries of the links out of clique i, so picking it is
+    rejected iff one of them is None, and ``walked`` counts the cliques the
+    group passes reached.
     """
+    m = len(cliques)
     below = [
         c.bit_count() > 2 or any(preds[v] & c for v in _iter_bits(c & targets))
         for c in cliques
     ]  # then the number of such cliques in each subtree
-    for i in range(len(cliques) - 1, 0, -1):
+    for i in range(m - 1, 0, -1):
         below[parents[i]] += below[i]
     total = below[0]
-    links = [[] for _ in cliques]
-    for i in range(1, len(cliques)):
+    links = [[] for _ in cliques]  # (neighbour, separator, ban, table slot)
+    down, up = [], []  # (from, link) in fill order
+    for i in range(1, m):
         p = parents[i]
         sep = cliques[i] & cliques[p]
         ban = 0
         for v in _iter_bits(sep & targets):
             ban |= preds[v]
         if below[i]:
-            links[p].append((i, sep, ban))
+            link = (i, sep, ban, i)
+            links[p].append(link)
+            down.append((p, link))
         if below[i] < total:
-            links[i].append((p, sep, ban))
-    return links
-
-
-def _walk_groups(cliques: list, links: list, root: int):
-    """The subproblems left by picking clique ``root``, read off the clique
-    tree rooted there (Wienöbst, Bannach and Liśkiewicz 2021).
-
-    The walk goes down from ``root`` along ``links`` (see
-    ``_clique_links``).  A clique C reached from its parent P, with separator
-    s = C & P, joins P's group when P is not the root and s strictly holds
-    that group's separator S; otherwise C starts a new group with S = s.
-    Each group's cliques minus S form one connected subproblem, and the
-    picked clique is rejected exactly when some claim u -> v has u in a
-    group's subproblem and v in that group's S.
-
-    Returns ``(flag, subproblems, walked)``: the flag is False on a rejection,
-    which ends the walk with no subproblems; ``walked`` counts the cliques
-    the walk reached.
-    """
-    groups = []  # [S, subproblem, claim sources into S], one per group
-    queue = [(root, None, None)]  # each reached clique, where from, its group
-    for x, came, group in queue:
-        for y, s, ban in links[x]:
-            if y == came:
-                continue
-            if group is None or s == group[0] or group[0] & ~s:
-                group_y = [s, 0, ban]
-                groups.append(group_y)
-            else:  # s strictly holds the group's S
-                group_y = group
-            new = cliques[y] & ~group_y[0]
-            if group_y[2] & new:
-                return False, [], len(queue)
-            group_y[1] |= new
-            queue.append((y, x, group_y))
-    return True, [sub for _, sub, _ in groups], len(queue) - 1
+            link = (p, sep, ban, m + i)
+            links[i].append(link)
+            up.append((i, link))
+    down.reverse()
+    table = [None] * (2 * m)
+    walked = 0
+    for x, (y, s, ban, slot) in down + up:
+        top = cliques[y] & ~s
+        walked += 1
+        if ban & top:
+            continue
+        sub = top
+        group, above = [top], [None]  # the group's clique tree
+        visit = [(y, x)]  # each clique of the group, where it was reached from
+        found = []
+        ok = True
+        for j, (c, came) in enumerate(visit):
+            for z, t, _, k in links[c]:
+                if z == came:
+                    continue
+                if t != s and not s & ~t:  # t strictly holds S: z joins
+                    new = cliques[z] & ~s
+                    walked += 1
+                    if ban & new:
+                        ok = False
+                        break
+                    sub |= new
+                    group.append(new)
+                    above.append(j)
+                    visit.append((z, c))
+                else:
+                    side = table[k]
+                    if side is None:
+                        ok = False
+                        break
+                    found.extend(side)
+            if not ok:
+                break
+        if ok:
+            if sub & (sub - 1):
+                found.append((sub, (group, above)))
+            table[slot] = found
+    return [[table[k] for _, _, _, k in out] for out in links], walked
 
 
 @dataclass(frozen=True)
@@ -449,6 +489,11 @@ class ComponentStats:
 
 @dataclass(frozen=True)
 class SessionStats:
+    """Whole-session counters.  ``walked_cliques`` counts the cliques the
+    group passes of ``_group_table`` reached, and ``phi_empty_evaluations``
+    the prefix-free counts of masks that hold a claim target (a mask with
+    none counts |x|! without the cache)."""
+
     components: tuple
     clique_picks: int
     walked_cliques: int
@@ -494,15 +539,28 @@ class CountingSession:
         self.phi_chain_evals = 0
         self.memo_hits = 0
 
-    def _count(self, host: _Host, sub: int, tree: tuple | None = None) -> int:
+    def _count(self, host: _Host, sub: int, tree: tuple) -> int:
         """Count the connected chordal subproblem ``sub``.
 
-        ``tree`` is its ``(cliques, parents)`` where the caller has them,
-        parents listed before their children; otherwise one MCS pass over the
-        host's masks gives them on a memo miss.  Each clique is picked in
-        turn, and a walk of the clique tree rooted there gives its
-        subproblems (``_walk_groups``); lone vertices count 1 and are never
-        passed here.
+        ``tree`` is its ``(cliques, parents)``, parents listed before their
+        children.  Each clique is picked in turn, and one table of the
+        clique tree's sides (``_group_table``) gives every pick's flag and
+        subproblems, each with its own clique tree; lone vertices count 1
+        and are never passed here.
+
+        A handed-down tree is a clique tree of its subproblem.  Say its group
+        starts on the link x -> y with separator S.  No vertex of the
+        subproblem lies in x, so none lies in a clique on x's side, and each
+        lies in a group clique.  A clique Q of G[sub] lies, by the Helly
+        property of subtrees, in some clique D of the tree.  If D is not in
+        the group it lies beyond a link c -> z leaving the group, and every
+        vertex of Q, in D and in a group clique, lies in c on the path
+        between them.  So every clique of G[sub] lies in a group clique
+        minus S.  Group cliques all hold S, so no C - S lies inside another
+        C' - S, and these are exactly the maximal cliques of G[sub].  The
+        group cliques holding a vertex are the part of its subtree inside
+        the group's subtree, which is connected, so the tree keeps the
+        running-intersection property.
 
         From a subproblem of two or more vertices the recursion is at most
         w - 1 calls deep, w the size of the largest clique.  A subproblem is
@@ -518,7 +576,7 @@ class CountingSession:
         if val is not None:
             self.memo_hits += 1
             return val
-        cliques, parents = _mcs_cliques(host.nbr, sub) if tree is None else tree
+        cliques, parents = tree
         preds = host.preds
         targets = host.targets
         if len(cliques) == 1:
@@ -526,21 +584,19 @@ class CountingSession:
             self.memo[sub] = val
             return val
         chains = _prefix_chains(cliques, parents)
-        links = _clique_links(cliques, parents, preds, targets)
+        sides, walked = _group_table(cliques, parents, preds, targets)
+        self.walked_cliques += walked
         total = 0
-        for i, clique in enumerate(cliques):
+        for clique, chain, entries in zip(cliques, chains, sides):
             self.clique_picks += 1
+            if None in entries:  # every flag is read before any recursion
+                continue
             prod = 1
-            if links[i]:  # otherwise every subproblem is a lone vertex
-                flag, subs, walked = _walk_groups(cliques, links, i)
-                self.walked_cliques += walked
-                if not flag:
-                    continue
-                for h in subs:
-                    if h & (h - 1):
-                        prod *= self._count(host, h)
+            for entry in entries:
+                for h, t in entry:
+                    prod *= self._count(host, h, t)
             self.phi_chain_evals += 1
-            total += prod * _phi_with_ctx(self.ctx, clique, chains[i], preds, targets)
+            total += prod * _phi_with_ctx(self.ctx, clique, chain, preds, targets)
         self.memo[sub] = total
         return total
 

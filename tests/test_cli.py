@@ -61,8 +61,9 @@ class TestCount:
         assert "memo hits" in out.err
 
     def test_stats_show_the_sweep_work(self, tmp_path, capsys):
-        # picking the triangle abc leaves d, a lone vertex beyond the
-        # claim-free edge cd, so no clique is walked; picking cd walks abc
+        # the side beyond the claim-free edge cd is the lone vertex d, so
+        # the group table has one entry, the side of abc seen from cd, and
+        # its pass reaches abc alone
         path = paw_instance(tmp_path)
         assert main(["count", path, "--stats"]) == EXIT_OK
         lines = capsys.readouterr().err.splitlines()

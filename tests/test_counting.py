@@ -1,5 +1,5 @@
 """The counting core: permutation counts, the LBFS sweep, the clique-tree
-walk, the recursion."""
+group table, the recursion."""
 
 import itertools
 import math
@@ -25,10 +25,9 @@ from amocount.counting import (
     phi,
     psi,
     _Host,
-    _clique_links,
+    _group_table,
     _prefix_chains,
     _reroot,
-    _walk_groups,
 )
 from amocount.generators import GenConfig, gen_amo_claims, random_chordal
 from amocount.graphs import (
@@ -569,42 +568,65 @@ class TestSeedPhase:
         assert seed_phase_matches_visit_by_visit(g, edge_claims(g, rng, 8), rng) > 0
 
 
-def walk_matches_full_sweep(g, knowledge, rng):
-    """Pick every maximal clique of every component of ``g``, its clique tree
-    rooted at a random clique, and check the walk against the full ``_lbfs``
-    sweep: the same flag and, when it holds, the same subproblems of two or
-    more vertices.  A walk over every side of the tree must give every
-    subproblem, lone vertices too.  Returns the number of accepted picks that
-    leave a subproblem of two or more vertices."""
+def check_clique_tree(nbr, sub, tree):
+    """``tree`` is a clique tree of the connected chordal mask ``sub``: the
+    cliques ``_mcs_cliques`` finds, parents before their children, and the
+    cliques holding each vertex forming one subtree."""
+    cliques, parents = tree
+    assert sorted(cliques) == sorted(_mcs_cliques(nbr, sub)[0]), sub
+    assert parents[0] is None
+    assert all(parents[j] is not None and parents[j] < j for j in range(1, len(parents))), sub
+    for v in _iter_bits(sub):
+        holding = {j for j, c in enumerate(cliques) if c >> v & 1}
+        assert len([j for j in holding if parents[j] not in holding]) == 1, (sub, v)
+
+
+def table_matches_full_sweep(g, knowledge, rng):
+    """Build the group table of every component of ``g``, its clique tree
+    rooted at a random clique, and check every pick against the full
+    ``_lbfs`` sweep: the same flag and, when it holds, the same subproblems
+    of two or more vertices, each handed down with a clique tree.  Returns
+    the number of accepted picks that leave a subproblem of two or more
+    vertices."""
     nbr = _masks(g)[1]
     host = _Host(g.vertices, nbr, knowledge.pairs)
-    preds, targets = host.preds, host.targets
     recursing = 0
     for sub in _mask_components(nbr, host.full):
         cliques, parents = _mcs_cliques(nbr, sub)
         cliques, parents = _reroot(cliques, parents, rng.randrange(len(cliques)))
-        links = _clique_links(cliques, parents, preds, targets)
-        every_side = [[] for _ in cliques]  # links that skip no side
-        for i, p in enumerate(parents[1:], 1):
-            sep = cliques[i] & cliques[p]
-            ban = 0
-            for v in _iter_bits(sep):
-                ban |= preds[v]
-            every_side[i].append((p, sep, ban))
-            every_side[p].append((i, sep, ban))
+        sides, walked = _group_table(cliques, parents, host.preds, host.targets)
+        assert len(sides) == len(cliques)
+        assert walked >= sum(map(len, sides))  # each link's pass reaches a clique
         for i, clique in enumerate(cliques):
-            flag, comps, _ = _lbfs(nbr, sub, clique, preds, True)
-            got, subs, walked = _walk_groups(cliques, links, i)
-            assert got == flag, (sub, i)
-            assert walked < len(cliques)
-            whole, all_subs, _ = _walk_groups(cliques, every_side, i)
-            assert whole == flag, (sub, i)
+            flag, comps, _ = _lbfs(nbr, sub, clique, host.preds, True)
+            assert (None not in sides[i]) == flag, (sub, i)
             if flag:
                 expected = sorted(h for h in comps if h & (h - 1))
-                assert sorted(h for h in subs if h & (h - 1)) == expected, (sub, i)
-                assert sorted(all_subs) == sorted(comps), (sub, i)
+                got = [(h, tree) for entry in sides[i] for h, tree in entry]
+                assert sorted(h for h, _ in got) == expected, (sub, i)
+                for h, tree in got:
+                    check_clique_tree(nbr, h, tree)
                 recursing += bool(expected)
     return recursing
+
+
+def recorded_recursion(monkeypatch):
+    """Record each ``CountingSession._count`` call as ``(caller, sub)``, the
+    caller being the subproblem whose pick made the call (None at the top
+    level)."""
+    inner = CountingSession._count
+    stack, calls = [None], []
+
+    def counted(self, host, sub, tree):
+        calls.append((stack[-1], sub))
+        stack.append(sub)
+        try:
+            return inner(self, host, sub, tree)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(CountingSession, "_count", counted)
+    return calls
 
 
 def walk_claims(g, rng):
@@ -618,23 +640,23 @@ def walk_claims(g, rng):
 
 
 class TestCliqueWalk:
-    """Each pick's subproblems come from a walk of the clique tree rooted at
-    the picked clique; the flag and every subproblem of two or more vertices
-    must be the full LBFS sweep's."""
+    """Each pick's flag and subproblems come from the group table of its
+    subproblem's clique tree; they must be the full LBFS sweep's, and every
+    subproblem of two or more vertices comes with a clique tree of its own."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_small_chordal_graphs(self, seed):
         rng = random.Random(100_000 + seed)
         g = random_uccg(seed, 3, 12)
         for k in walk_claims(g, rng):
-            walk_matches_full_sweep(g, k, rng)
+            table_matches_full_sweep(g, k, rng)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_sparse_chordal_graphs(self, seed):
         rng = random.Random(101_000 + seed)
         g = sparse_chordal(rng, rng.randint(5, 60))
         for k in walk_claims(g, rng):
-            walk_matches_full_sweep(g, k, rng)
+            table_matches_full_sweep(g, k, rng)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_trees_and_caterpillars(self, seed):
@@ -646,7 +668,7 @@ class TestCliqueWalk:
             g = UndirectedGraph(n, random_tree(rng, n))
         for k in walk_claims(g, rng):
             # every subproblem of a tree is a lone vertex
-            assert walk_matches_full_sweep(g, k, rng) == 0
+            assert table_matches_full_sweep(g, k, rng) == 0
 
     @pytest.mark.parametrize("seed", range(12))
     def test_chordal_graphs_with_30_to_80_vertices(self, seed):
@@ -655,10 +677,31 @@ class TestCliqueWalk:
         scale = math.log(n) / n
         g = random_chordal(GenConfig(n=n, p_range=(1.5 * scale, 3 * scale), seed=seed))
         none, edges, amo = walk_claims(g, rng)
-        walk_matches_full_sweep(g, none, rng)
-        walk_matches_full_sweep(g, edges, rng)
+        table_matches_full_sweep(g, none, rng)
+        table_matches_full_sweep(g, edges, rng)
         # claims that hold in one orientation leave picks that recurse
-        assert walk_matches_full_sweep(g, amo, rng) > 0
+        assert table_matches_full_sweep(g, amo, rng) > 0
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_each_miss_recurses_into_its_accepted_picks_only(self, seed, monkeypatch):
+        rng = random.Random(104_000 + seed)
+        g = random_uccg(seed, 4, 14) if seed % 2 else sparse_chordal(rng, rng.randint(10, 40))
+        nbr = _masks(g)[1]
+        for k in walk_claims(g, rng):
+            calls = recorded_recursion(monkeypatch)
+            count_session(uccg_instance(g, k))
+            preds = _Host(g.vertices, nbr, k.pairs).preds
+            children = {}
+            for caller, sub in calls:
+                children.setdefault(caller, []).append(sub)
+            assert sorted(children.pop(None)) == sorted(_mask_components(nbr, (1 << g.n) - 1))
+            for caller, subs in children.items():
+                expected = []
+                for clique in _mcs_cliques(nbr, caller)[0]:
+                    flag, comps, _ = _lbfs(nbr, caller, clique, preds, True)
+                    if flag:
+                        expected += [h for h in comps if h & (h - 1)]
+                assert sorted(subs) == sorted(expected), (seed, caller)
 
 
 def tree_distances(edges, n, source):
@@ -678,6 +721,13 @@ def tree_distances(edges, n, source):
     return dist
 
 
+def sources_honouring(edges, n, pairs):
+    """The vertices r of a tree that lie nearer to u than to v for every
+    claim u->v: the sources of the tree's AMOs that honour every claim."""
+    dist = {v: tree_distances(edges, n, v) for claim in pairs for v in claim}
+    return sum(all(dist[u][r] < dist[v][r] for u, v in pairs) for r in range(n))
+
+
 class TestIdentitiesAtScale:
     """Counts that hold at any size, checked far beyond the oracle's reach.
     An AMO of a tree is fixed by its source, so it honours a claim u->v
@@ -694,10 +744,34 @@ class TestIdentitiesAtScale:
         n = rng.randint(200, 400)
         edges = random_tree(rng, n)
         k = edge_claims(UndirectedGraph(n, edges), rng, 4)
-        dist = {v: tree_distances(edges, n, v) for claim in k.pairs for v in claim}
-        expected = sum(all(dist[u][r] < dist[v][r] for u, v in k.pairs) for r in range(n))
         res = count_session(MecInstance(PartiallyDirectedGraph(n, edges), k))
-        assert res.count == expected
+        assert res.count == sources_honouring(edges, n, k.pairs)
+
+    @pytest.mark.parametrize(
+        "claims, expected",
+        [([(0, 1), (2999, 2998)], 0), ([(0, 1), (2998, 2999)], 1), ([(1, 0), (2998, 2999)], 2998)],
+    )
+    def test_a_long_path_counts_the_sources_that_honour_its_end_claims(self, claims, expected):
+        # every pick's side toward a claim is one table entry, so the picks
+        # of a 3000-vertex path do not each walk the path
+        edges = [(i, i + 1) for i in range(2999)]
+        assert sources_honouring(edges, 3000, claims) == expected
+        k = BackgroundKnowledge(claims)
+        assert count_session(MecInstance(PartiallyDirectedGraph(3000, edges), k)).count == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 50, 400, 1000])
+    def test_a_windmill_counts_2m_plus_1_times_2_to_the_m(self, m):
+        # F_m is m triangles sharing vertex 0.  An AMO has source 0 and
+        # orients each far edge freely, or has its source in one triangle,
+        # 2m choices, with 0 before or after the triangle's third vertex.
+        edges = []
+        for t in range(1, m + 1):
+            edges += [(0, 2 * t - 1), (0, 2 * t), (2 * t - 1, 2 * t)]
+        inst = MecInstance(PartiallyDirectedGraph(2 * m + 1, edges), BackgroundKnowledge())
+        expected = (2 * m + 1) * 2**m
+        if m <= 4:
+            assert len(enumerate_amos(inst.graph)) == expected
+        assert count_session(inst).count == expected
 
     def test_a_forest_counts_the_product_of_its_tree_sizes(self):
         rng = random.Random(99_000)
@@ -864,7 +938,8 @@ class TestMaskCliqueTree:
         monkeypatch.setattr(UndirectedGraph, "_init_from", forbidden)
         monkeypatch.setattr(counting_module, "_masks", forbidden)
         monkeypatch.setattr(counting_module, "clique_tree", forbidden)
-        assert session._count(host, host.full) == expected
+        tree = _mcs_cliques(host.nbr, host.full)
+        assert session._count(host, host.full, tree) == expected
         assert session.clique_picks > 1
 
     def test_ingest_and_count_build_no_graph(self, monkeypatch):
@@ -1010,18 +1085,19 @@ class TestCountSession:
     @pytest.mark.parametrize("seed", range(24))
     def test_stats_count_every_visited_vertex(self, seed, monkeypatch):
         inst = random_chain_instance(seed) if seed % 2 else uccg_instance(random_uccg(seed, 4, 12))
-        inner = counting_module._walk_groups
-        walked = []
+        inner = counting_module._group_table
+        picks, walked = [], []
 
         def counted(*args):
-            out = inner(*args)
-            walked.append(out[2])
-            return out
+            sides, reached = inner(*args)
+            picks.append(len(sides))
+            walked.append(reached)
+            return sides, reached
 
-        monkeypatch.setattr(counting_module, "_walk_groups", counted)
+        monkeypatch.setattr(counting_module, "_group_table", counted)
         stats = count_session(inst).stats
-        # a pick whose every side is claim-free two-vertex cliques walks nothing
-        assert stats.clique_picks >= len(walked)
+        # one table per missed subproblem of two or more cliques
+        assert stats.clique_picks == sum(picks)
         assert stats.walked_cliques == sum(walked)
 
     @pytest.mark.parametrize("seed", range(24))
@@ -1083,10 +1159,10 @@ class TestOneForest:
     @pytest.mark.parametrize("seed", range(24))
     def test_one_search_plus_one_per_missed_subproblem(self, seed, monkeypatch):
         inst = random_chain_instance(seed) if seed % 2 else uccg_instance(random_uccg(seed, 4, 12))
+        # a missed subproblem takes the clique tree its pick hands down
         calls = counted_mcs(monkeypatch)
-        stats = count_session(inst).stats
-        assert calls[0] == (1 << inst.graph.n) - 1
-        assert len(calls) == 1 + stats.distinct_subproblems - len(stats.components)
+        count_session(inst)
+        assert calls == [(1 << inst.graph.n) - 1]
 
 
 def fan(levels):
