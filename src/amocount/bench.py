@@ -31,7 +31,7 @@ CSV_FIELDS = (
     "seed",
     "time_ms",
     "count_decimal_digits",
-    "count_is_zero",  # 1 when the count is zero: the sweeps only rejected
+    "count_is_zero",  # 1 when the count is zero: every clique pick was rejected
     "engine_version",
 )
 AGG_FIELDS = ("n", "k", "reps", "mean_time_ms", "median_time_ms")

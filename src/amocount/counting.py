@@ -302,7 +302,8 @@ def lbfs_background(g: UndirectedGraph, clique, knowledge) -> LbfsResult:
 
     Returns the consistency flag (False when orienting the graph away from
     ``clique`` would reverse some claim) and the subproblem components left
-    behind by the sweep.
+    behind by the sweep.  It is the reference for ``_group_table``'s flags
+    and is not on the count path.
     """
     c = frozenset(clique)
     if not _is_maximal_clique(g, c):

@@ -160,7 +160,7 @@ def _claim_endpoints(preds, x, targets) -> int:
     return touched
 
 
-def _lbfs(nbr, sub, seed, preds, collect_components, stop_on_reject=False, live=-1):
+def _lbfs(nbr, sub, seed, preds, collect_components):
     """Lexicographic BFS by partition refinement over bitmasks.
 
     Vertices are positions: ``nbr[v]`` is the neighbour mask of position v,
@@ -169,73 +169,21 @@ def _lbfs(nbr, sub, seed, preds, collect_components, stop_on_reject=False, live=
     inside ``sub`` that is 0 or a clique, is the first cell.  ``preds[v]`` is
     the mask of sources u of direction claims u -> v (``preds`` may be None);
     sources outside ``sub`` are ignored.  Whenever some claim's source is
-    still outside every recorded front set when its target is picked, the
-    consistency flag drops to False, and with ``stop_on_reject`` the sweep
-    ends there.  Ties go to the lowest position.
+    still outside the seed and every recorded front set when its target is
+    picked, the consistency flag drops to False.  Ties go to the lowest
+    position.
 
     Returns ``(flag, components, order)``: ``components`` are the connected
     components of the recorded front sets as masks (only filled in when
     ``collect_components`` is set), ``order`` the visited positions.
-
-    The sweep ends once no unvisited vertex is in the mask ``live`` (by
-    default every vertex is, so the sweep is complete).  When ``sub`` is
-    connected, ``seed`` is not 0 and ``live`` holds every claim target and
-    every vertex on a triangle, the rest of the sweep records only lone
-    vertices and cannot drop the flag, so ``order`` is a prefix of the full
-    sweep's and ``components`` lacks only lone vertices.  Two vertices of one
-    cell have the same visited neighbours.  For a recorded cell that set is
-    not empty: the seed is never recorded, and the cell of vertices with no
-    visited neighbour stays at index 0, so it comes up only when no other
-    cell is left, which in a connected ``sub`` means it is empty.  So two
-    adjacent vertices of a recorded cell close a triangle with any common
-    visited neighbour, and a cell of vertices on no triangle splits into
-    lone vertices.
-
-    The seed is settled before the visit loop.  Each seed vertex is adjacent
-    to the rest of the seed, so while the seed is visited its cell stays
-    last, no split touches it, nothing is recorded and the marked set is the
-    seed.  So the seed goes out lowest position first, and the claim test of
-    a seed vertex v is ``preds[v] & rest``, where ``rest = sub & ~seed``.
-    The sweep leaves the seed only if ``rest`` holds a live vertex; if not,
-    it ends after the seed's last live vertex, with no components.  One pass
-    over the seed makes its part of ``order`` and finds the first rejection.
-    All the seed's visits do to the other cells is split ``rest`` by each
-    seed vertex's neighbour mask in that order, so one loop does only that,
-    and the visit loop starts from its cells.
     """
-    rest = sub & ~seed
-    leaves_seed = rest & live
-    todo = seed if leaves_seed else seed & (1 << (seed & live).bit_length()) - 1
-    order = []
-    flag = True
-    while todo:
-        low = todo & -todo
-        v = low.bit_length() - 1
-        order.append(v)
-        if flag and preds is not None and preds[v] & rest:
-            flag = False
-            if stop_on_reject:
-                return flag, [], order
-        todo ^= low
-    if not leaves_seed:  # the sweep ended after the seed's last live vertex
-        return flag, [], order
-    cells = [rest] if rest else []  # the front cell is last
-    for v in order:
-        split = nbr[v] & rest
-        i = len(cells) - 1
-        while split:
-            cell = cells[i]
-            inside = cell & split
-            if inside:
-                split ^= inside
-                if inside != cell:
-                    cells[i] = cell ^ inside
-                    cells.insert(i + 1, inside)
-            i -= 1
-    remaining = rest
+    cells = [c for c in (sub & ~seed, seed) if c]  # the front cell is last
+    remaining = sub
     marked = seed  # vertices inside the seed clique or a recorded front
+    order = []
     comps = []
-    while remaining & live:
+    flag = True
+    while remaining:
         cell = cells[-1]
         low = cell & -cell
         v = low.bit_length() - 1
@@ -249,8 +197,6 @@ def _lbfs(nbr, sub, seed, preds, collect_components, stop_on_reject=False, live=
         order.append(v)
         if preds is not None and preds[v] & sub & ~marked:
             flag = False
-            if stop_on_reject:
-                break
         remaining ^= low
         cell ^= low
         if cell:

@@ -1,4 +1,4 @@
-"""Release gate: eleven end-to-end checks with pinned tolerances.
+"""Release gate: twelve end-to-end checks with pinned tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one summary line
 per check.  Every expected number here was produced by the brute-force
@@ -14,7 +14,7 @@ import random
 import statistics
 import time
 
-from amocount.bench import run_bench, time_count
+from amocount.bench import derived_seed, make_instance, run_bench, time_count
 from amocount.counting import (
     PrefixChain,
     count_session,
@@ -223,6 +223,42 @@ def test_scaling_slope_stays_polynomial(tmp_path):
     assert elapsed < 1800.0
     pretty = ", ".join(f"k={k}: {s:.2f}" for k, s in sorted(slopes.items()))
     report("scaling sweep", f"log-log slopes {pretty}; wall {elapsed:.0f}s")
+
+
+def test_scaling_slope_stays_polynomial_on_positive_counts():
+    """The scaling sweep's draws with every claim turned along one LBFS
+    ordering of the graph.  That ordering is an acyclic moral orientation in
+    which all the claims hold, so every count is positive and the clique
+    permutation counts run; the clique knowledge k is unchanged."""
+    n_list = [50, 100, 150, 200, 250, 300]
+    k_list = [3, 4, 5, 6, 7]
+    t0 = time.perf_counter()
+    slopes = {}
+    for k in k_list:
+        log_n, log_ms = [], []
+        for n in n_list:
+            times = []
+            for rep in range(2):
+                drawn, g, _ = make_instance(n, k, derived_seed(0, n, k, rep))
+                pos = {v: i for i, v in enumerate(lbfs_order(g))}
+                instance = MecInstance(
+                    drawn.graph,
+                    BackgroundKnowledge(
+                        (u, v) if pos[u] < pos[v] else (v, u) for u, v in drawn.knowledge.pairs
+                    ),
+                )
+                assert max_clique_knowledge(instance) == max_clique_knowledge(drawn)
+                result, dt = time_count(instance)
+                assert result.count > 0, (n, k, rep)
+                assert result.stats.phi_chain_evaluations > 0, (n, k, rep)
+                times.append(dt)
+            log_n.append(math.log(n))
+            log_ms.append(math.log(statistics.fmean(times)))
+        slopes[k] = statistics.linear_regression(log_n, log_ms).slope
+        assert slopes[k] <= 4.5, (k, slopes[k])
+    elapsed = time.perf_counter() - t0
+    pretty = ", ".join(f"k={k}: {s:.2f}" for k, s in sorted(slopes.items()))
+    report("positive-count scaling sweep", f"log-log slopes {pretty}; wall {elapsed:.0f}s")
 
 
 def test_grown_knowledge_is_no_slower_to_count():

@@ -55,6 +55,7 @@ from amocount.mec import (
     chordal_components,
 )
 from amocount.oracle import (
+    _is_lbfs_ordering,
     amos_represented_by,
     enumerate_amos,
     phi_bruteforce,
@@ -326,22 +327,6 @@ class TestLbfsBackground:
             assert comp_union == left
 
 
-    @pytest.mark.parametrize("seed", range(60))
-    def test_early_exit_is_a_prefix_of_the_full_sweep(self, seed):
-        g = random_uccg(seed, 3, 9)
-        k = random_claims(g, random.Random(90_000 + seed), "oriented")
-        host = _Host(g.vertices, _masks(g)[1], k.pairs)
-        for c in maximal_cliques(g):
-            seed_mask = host.mask(c)
-            full = _lbfs(host.nbr, host.full, seed_mask, host.preds, True)
-            early = _lbfs(host.nbr, host.full, seed_mask, host.preds, True, True)
-            assert early[0] == full[0] == lbfs_background(g, c, k).flag
-            assert early[1] == full[1][: len(early[1])]
-            assert early[2] == full[2][: len(early[2])]
-            if early[0]:
-                assert early == full
-
-
 def random_tree(rng, n):
     """Edges of a random tree on 0..n-1: a recursive tree, or a deep one
     whose vertices hang off one of the three before them, relabelled at
@@ -388,176 +373,38 @@ def edge_claims(g, rng, most):
     return BackgroundKnowledge((u, v) if rng.random() < 0.5 else (v, u) for u, v in picked)
 
 
-def live_mask(host, cliques):
-    """The claim targets and the vertices of every clique of three or more
-    vertices in ``cliques``: given all maximal cliques of the graph, those
-    are the vertices on a triangle."""
-    live = host.targets
-    for c in cliques:
-        if c.bit_count() > 2:
-            live |= c
-    return live
-
-
-def live_and_full_sweeps(g, knowledge):
-    """Sweep each component of ``g`` from each of its maximal cliques, once
-    with the host's ``live`` mask and once in full, both stopping on a
-    rejection, and check that the two agree on everything ``_count`` reads.
-    Returns the number of vertices the live sweeps visited."""
+def check_sweeps(g, knowledge):
+    """Sweep the whole of ``g`` from 0 and from every maximal clique, with
+    the claims and with none, and check each sweep against the LBFS oracle:
+    the order is an LBFS ordering that starts with the seed's positions,
+    lowest first, and the components split the vertices outside the seed
+    into connected parts."""
     nbr = _masks(g)[1]
     whole = (1 << g.n) - 1
     host = _Host(g.vertices, nbr, knowledge.pairs)
-    live = live_mask(host, _mcs_cliques(nbr, whole)[0])
-    on_triangle = sum(
-        1 << v for v in range(g.n) if any(nbr[v] & nbr[u] for u in _iter_bits(nbr[v]))
-    )
-    assert live == host.targets | on_triangle
-    assert host.targets == sum(1 << v for v in range(g.n) if host.preds[v])
-    visited = 0
-    for sub in _mask_components(nbr, whole):
-        for clique in _mcs_cliques(nbr, sub)[0]:
-            flag, comps, order = _lbfs(nbr, sub, clique, host.preds, True, True, live)
-            full_flag, full_comps, full_order = _lbfs(nbr, sub, clique, host.preds, True, True)
-            assert flag == full_flag
-            assert order == full_order[: len(order)]
-            assert comps == full_comps[: len(comps)]
-            if flag:
-                # what the early sweep leaves out is lone vertices only
-                assert all(not h & (h - 1) for h in full_comps[len(comps):])
-            else:
-                # the rejecting vertex is a claim target, so it is live
-                assert order == full_order
-            visited += len(order)
-    return visited
+    for seed in [0] + _mcs_cliques(nbr, whole)[0]:
+        for preds in (host.preds, None):
+            flag, comps, order = _lbfs(nbr, whole, seed, preds, True)
+            assert sorted(order) == list(range(g.n))
+            assert _is_lbfs_ordering(g, [g.vertices[v] for v in order]), (seed, order)
+            assert order[: seed.bit_count()] == list(_iter_bits(seed))
+            covered = 0
+            for h in comps:
+                assert h and not covered & h, (seed, comps)
+                assert _mask_components(nbr, h) == [h], (seed, h)
+                covered |= h
+            assert covered == whole & ~seed
+            assert flag or preds is not None
 
 
-class TestLiveSweep:
-    """A counting sweep ends once every unvisited vertex lies on no triangle
-    and is no claim target; it must agree with the full sweep on the flag
-    and on every subproblem of two or more vertices."""
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_matches_the_full_sweep_on_chordal_graphs(self, seed):
-        g = random_uccg(seed, 3, 12)
-        k = random_claims(g, random.Random(95_000 + seed), "oriented")
-        live_and_full_sweeps(g, k)
-
-    @pytest.mark.parametrize("seed", range(24))
-    def test_matches_the_full_sweep_on_sparse_chordal_graphs(self, seed):
-        rng = random.Random(96_000 + seed)
-        g = sparse_chordal(rng, rng.randint(5, 40))
-        live_and_full_sweeps(g, edge_claims(g, rng, 6))
-
-    @pytest.mark.parametrize("seed", range(24))
-    def test_matches_the_full_sweep_on_trees_and_caterpillars(self, seed):
-        rng = random.Random(97_000 + seed)
-        if seed % 2:
-            g = caterpillar(rng, rng.randint(3, 15))
-        else:
-            n = rng.randint(5, 40)
-            g = UndirectedGraph(n, random_tree(rng, n))
-        live_and_full_sweeps(g, edge_claims(g, rng, 4))
-        # with no claim, no vertex of a tree is live
-        assert live_and_full_sweeps(g, BackgroundKnowledge()) == 0
-
-    @pytest.mark.parametrize(
-        "n, edges",
-        [
-            (2000, [(i, i + 1) for i in range(1999)]),
-            (500, [(0, v) for v in range(1, 500)]),
-        ],
-        ids=["path", "star"],
-    )
-    def test_claim_free_paths_and_stars_sweep_no_vertex(self, n, edges):
-        res = count_session(MecInstance(PartiallyDirectedGraph(n, edges), BackgroundKnowledge()))
-        assert res.count == n
-        assert res.stats.clique_picks == n - 1
-        assert res.stats.walked_cliques == 0
-
-
-def visit_by_visit_lbfs(nbr, sub, seed, preds, collect_components, stop_on_reject=False, live=-1):
-    """``_lbfs`` with the seed clique visited one vertex at a time, through
-    the same loop as every other vertex."""
-    cells = [c for c in (sub & ~seed, seed) if c]  # the front cell is last
-    remaining = sub
-    marked = seed
-    order = []
-    comps = []
-    flag = True
-    while remaining & live:
-        cell = cells[-1]
-        low = cell & -cell
-        v = low.bit_length() - 1
-        if not marked & low:
-            marked |= cell
-            if collect_components:
-                if cell == low:  # a lone vertex is its own component
-                    comps.append(low)
-                else:
-                    comps.extend(_mask_components(nbr, cell))
-        order.append(v)
-        if preds is not None and preds[v] & sub & ~marked:
-            flag = False
-            if stop_on_reject:
-                break
-        remaining ^= low
-        cell ^= low
-        if cell:
-            cells[-1] = cell
-        else:
-            cells.pop()
-        split = nbr[v] & remaining
-        i = len(cells) - 1
-        while split:
-            cell = cells[i]
-            inside = cell & split
-            if inside:
-                split ^= inside
-                if inside != cell:
-                    cells[i] = cell ^ inside
-                    cells.insert(i + 1, inside)
-            i -= 1
-    return flag, comps, order
-
-
-def seed_phase_matches_visit_by_visit(g, knowledge, rng):
-    """Sweep from 0 and from every maximal clique of ``g`` and of the
-    subproblems of its first sweep, under every mix of claims, rejection and
-    ``live``, and check that ``_lbfs`` and the visit-by-visit sweep return the
-    same flag, components and order.  Returns the number of sweeps that
-    ended inside their seed."""
-    nbr = _masks(g)[1]
-    whole = (1 << g.n) - 1
-    cliques = _mcs_cliques(nbr, whole)[0]
-    host = _Host(g.vertices, nbr, knowledge.pairs)
-    host_live = live_mask(host, cliques)
-    no_claims = [0] * g.n
-    subs = [whole] + [h for h in _lbfs(nbr, whole, cliques[0], None, True)[1] if h & (h - 1)]
-    inside_seed = 0
-    for sub in subs:
-        for seed in [0] + _mcs_cliques(nbr, sub)[0]:
-            seed_only = seed & rng.getrandbits(g.n)  # leaves out all of sub & ~seed
-            for preds in (host.preds, no_claims, None):
-                for stop in (False, True):
-                    for live in (-1, host_live, seed_only):
-                        args = (nbr, sub, seed, preds, True, stop, live)
-                        got = _lbfs(*args)
-                        assert got == visit_by_visit_lbfs(*args), (sub, seed, stop, live)
-                        if seed and not sub & ~seed & live:
-                            inside_seed += 1
-                            assert got[1] == []
-    return inside_seed
-
-
-class TestSeedPhase:
-    """``_lbfs`` settles the seed clique before its visit loop; every flag,
-    component and order must be the visit-by-visit sweep's."""
+class TestLbfsSweep:
+    """The knowledge-aware LBFS is one partition-refinement sweep; its order
+    and components must be an LBFS's from any seed clique."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_small_chordal_graphs(self, seed):
         g = random_uccg(seed, 3, 12)
-        k = random_claims(g, random.Random(98_000 + seed), "oriented")
-        assert seed_phase_matches_visit_by_visit(g, k, random.Random(seed)) > 0
+        check_sweeps(g, random_claims(g, random.Random(98_000 + seed), "oriented"))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_chordal_graphs_with_30_to_80_vertices(self, seed):
@@ -565,7 +412,7 @@ class TestSeedPhase:
         n = rng.randint(30, 80)
         scale = math.log(n) / n
         g = random_chordal(GenConfig(n=n, p_range=(1.5 * scale, 3 * scale), seed=seed))
-        assert seed_phase_matches_visit_by_visit(g, edge_claims(g, rng, 8), rng) > 0
+        check_sweeps(g, edge_claims(g, rng, 8))
 
 
 def check_clique_tree(nbr, sub, tree):
@@ -932,12 +779,14 @@ class TestMaskCliqueTree:
         host = _Host(g.vertices, _masks(g)[1], session.pairs)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the counting path built a graph")
+            raise AssertionError("the counting path built a graph or ran an LBFS sweep")
 
         monkeypatch.setattr(UndirectedGraph, "induced", forbidden)
         monkeypatch.setattr(UndirectedGraph, "_init_from", forbidden)
         monkeypatch.setattr(counting_module, "_masks", forbidden)
         monkeypatch.setattr(counting_module, "clique_tree", forbidden)
+        monkeypatch.setattr(counting_module, "_lbfs", forbidden)
+        monkeypatch.setattr(graphs_module, "_lbfs", forbidden)
         tree = _mcs_cliques(host.nbr, host.full)
         assert session._count(host, host.full, tree) == expected
         assert session.clique_picks > 1
@@ -953,7 +802,7 @@ class TestMaskCliqueTree:
         assert all(expected)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("reading or counting an instance built a graph")
+            raise AssertionError("reading or counting an instance built a graph or ran an LBFS sweep")
 
         monkeypatch.setattr(UndirectedGraph, "_init_from", forbidden)
         monkeypatch.setattr(UndirectedGraph, "induced", forbidden)
@@ -961,6 +810,8 @@ class TestMaskCliqueTree:
         monkeypatch.setattr(counting_module, "_masks", forbidden)
         monkeypatch.setattr(PartiallyDirectedGraph, "undirected_part", forbidden)
         monkeypatch.setattr(mec_module, "chordal_components", forbidden)
+        monkeypatch.setattr(counting_module, "_lbfs", forbidden)
+        monkeypatch.setattr(graphs_module, "_lbfs", forbidden)
         counts = [count_session(parse_instance_text(t).instance).count for t in texts]
         assert counts == expected
 
@@ -1046,6 +897,20 @@ class TestCountUccg:
 
 
 class TestCountSession:
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (2000, [(i, i + 1) for i in range(1999)]),
+            (500, [(0, v) for v in range(1, 500)]),
+        ],
+        ids=["path", "star"],
+    )
+    def test_claim_free_paths_and_stars_sweep_no_vertex(self, n, edges):
+        res = count_session(MecInstance(PartiallyDirectedGraph(n, edges), BackgroundKnowledge()))
+        assert res.count == n
+        assert res.stats.clique_picks == n - 1
+        assert res.stats.walked_cliques == 0
+
     def test_result_and_stats(self):
         res = count_session(uccg_instance(SEVEN))
         assert res.count == 104
