@@ -1,10 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 comparison mismatch or partial benchmark failure,
-2 parse or validation error, 3 permutation/oracle cap exceeded, 4 generation
-failure.  The AMOCOUNT_PSI_CAP environment variable sets the default
-permutation cap; --psi-cap overrides it.  A cap must be a nonnegative
-integer.
+2 parse or validation error, 3 permutation/oracle cap or down-set budget
+exceeded, 4 generation failure.  The AMOCOUNT_PSI_CAP environment variable
+sets the default permutation cap; --psi-cap overrides it.  A cap must be a
+nonnegative integer.
 """
 
 from __future__ import annotations
@@ -16,7 +16,12 @@ import time
 
 from . import __version__
 from .bench import make_instance, run_bench, run_pair_comparison
-from .counting import DEFAULT_PERMUTATION_CAP, PermutationCapError, count_session
+from .counting import (
+    DEFAULT_PERMUTATION_CAP,
+    DownSetBudgetError,
+    PermutationCapError,
+    count_session,
+)
 from .generators import GenerationError
 from .instancefile import (
     InstanceDocument,
@@ -264,7 +269,7 @@ def main(argv=None) -> int:
     except (InstanceFormatError, InvalidInstanceError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except (PermutationCapError, OracleCapError) as e:
+    except (PermutationCapError, DownSetBudgetError, OracleCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
     except GenerationError as e:

@@ -40,6 +40,10 @@ from .graphs import (
 from .mec import BackgroundKnowledge, InvalidInstanceError, MecInstance, validate
 
 DEFAULT_PERMUTATION_CAP = 20
+# Most down-sets one layer of ``_down_set_count`` may hold.  A part of m
+# vertices has at most C(m, m // 2) down-sets of one size, C(20, 10) =
+# 184,756 under the default cap, so only a raised cap can reach it.
+DOWN_SET_BUDGET = 250_000
 
 
 class PermutationCapError(RuntimeError):
@@ -52,6 +56,19 @@ class PermutationCapError(RuntimeError):
         )
         self.size = size
         self.cap = cap
+
+
+class DownSetBudgetError(RuntimeError):
+    """Raised when counting one claim part's orders needs more down-sets of
+    one size than ``DOWN_SET_BUDGET``."""
+
+    def __init__(self, size: int, budget: int):
+        super().__init__(
+            f"a claim part of {size} vertices needs more than {budget} down-sets"
+            " of one size to count (lower the cap or the claims it touches)"
+        )
+        self.size = size
+        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -141,44 +158,139 @@ def _linear_extension_count(members: tuple, preds) -> int:
 
     The weakly connected parts of the claim graph order independently, so
     the count is m! / (m_1! ... m_r!), the interleavings of the parts, times
-    each part's own count.  Inside a part a layered dynamic program walks the
-    reachable down-sets, prefixes holding every claim source of each of their
-    members: layer t maps each down-set of size t to the number of orders
-    that build it, and only the current layer is kept.  The members are
-    renumbered 0..m-1 first, so down-sets are m-bit masks.  A claim cycle
-    leaves its part without a down-set of full size, so the count is 0.
+    each part's own count.  The members, listed in increasing order, are
+    renumbered 0..m-1 by rank first, so parts are m-bit masks.  When the claims number m minus the parts, each
+    part's claims form a tree (one claim per link, no cycle) and
+    ``_tree_count`` counts it in O(m_i^2); a two-vertex part holds one claim
+    and counts 1.  Any other claim set, with a cycle, a transitive claim or
+    a pair claimed both ways, has every part counted by ``_down_set_count``.
     """
     m = len(members)
-    idx = {v: i for i, v in enumerate(members)}
-    inside = sum(1 << v for v in members)
+    if m < 2:
+        return 1
+    inside = 0
+    for v in members:
+        inside |= 1 << v
     pred = [0] * m
     link = [0] * m
+    arcs = 0
     for b, v in enumerate(members):
-        for u in _iter_bits(preds[v] & inside):
-            a = idx[u]
+        x = preds[v] & inside
+        while x:
+            low = x & -x
+            a = (inside & (low - 1)).bit_count()  # members below the source
             pred[b] |= 1 << a
             link[a] |= 1 << b
             link[b] |= 1 << a
-    interleavings = math.factorial(m)
-    product = 1
-    for part in _mask_components(link, (1 << m) - 1):
-        steps = [(1 << i, pred[i]) for i in _iter_bits(part)]
-        layer = {0: 1}
-        for _ in steps:
-            grown = {}
-            get = grown.get
-            for done, ways in layer.items():
-                rest = ~done
-                for b, p in steps:
-                    if b & rest and not p & rest:
-                        key = done | b
-                        grown[key] = get(key, 0) + ways
-            if not grown:
-                return 0
-            layer = grown
-        interleavings //= math.factorial(len(steps))
-        product *= layer[part]
-    return interleavings * product
+            arcs += 1
+            x ^= low
+    parts = _mask_components(link, (1 << m) - 1)
+    forest = arcs == m - len(parts)
+    count = math.factorial(m)
+    for part in parts:
+        size = part.bit_count()
+        count //= math.factorial(size)
+        if not forest:
+            count *= _down_set_count(pred, part)
+        elif size > 2:
+            count *= _tree_count(pred, link, part)
+    return count
+
+
+def _tree_count(pred, link, part: int) -> int:
+    """Orders of the positions in ``part``, a mask whose claims (``pred``,
+    with ``link`` their undirected form) form a tree, that honour every
+    claim (Atkinson 1990, *On computing the number of linear extensions of a
+    tree*).
+
+    The tree is rooted at its lowest position and walked breadth first;
+    going back over the walk merges each vertex into its parent once all of
+    its own children are merged into it.  ``f[v][i]`` counts the orders of v's merged subtree that put v at index
+    i.  Merging child c (vector g, length b) into v (vector f, length a)
+    interleaves the two orders: with t of c's subtree before v, v moves to
+    index i + t, in C(i+t, i) * C(a+b-1-i-t, a-1-i) ways, and the claim
+    between them keeps the orders of c's subtree with c among its first t
+    (claim c->v) or not (claim v->c).  Each merge costs O(a*b), so the part
+    costs O(m^2) in all.
+    """
+    root = (part & -part).bit_length() - 1
+    order = [root]
+    up = {}
+    seen = part & -part
+    for v in order:  # grows while it is walked
+        x = link[v] & ~seen
+        seen |= x
+        while x:
+            low = x & -x
+            c = low.bit_length() - 1
+            up[c] = v
+            order.append(c)
+            x ^= low
+    f = {}
+    comb = math.comb
+    for c in reversed(order):
+        if c == root:
+            break
+        v = up[c]
+        g = f.pop(c, None)
+        fv = f.get(v, (1,))
+        a = len(fv)
+        first = pred[v] >> c & 1  # the claim is c->v
+        if g is None:  # c is a leaf, b = 1: t is 1 for claim c->v, else 0
+            if first:
+                f[v] = [0] + [x * (i + 1) for i, x in enumerate(fv)]
+            else:
+                f[v] = [x * (a - i) for i, x in enumerate(fv)] + [0]
+            continue
+        acc, before = 0, [0]  # before[t] = g[0] + ... + g[t-1], for claim c->v
+        for y in g:
+            acc += y
+            before.append(acc)
+        if not first:  # claim v->c: c among the last b - t instead
+            before = [acc - s for s in before]
+        if a == 1:  # v alone so far: both binomials are 1
+            f[v] = before
+            continue
+        b = len(g)
+        new = [0] * (a + b)
+        for i, x in enumerate(fv):
+            for t, s in enumerate(before):
+                if s:
+                    new[i + t] += x * s * comb(i + t, i) * comb(a + b - 1 - i - t, a - 1 - i)
+        f[v] = new
+    return sum(f[root])
+
+
+def _down_set_count(pred, part: int) -> int:
+    """Orders of the positions in the mask ``part`` that honour every claim
+    among them (``pred[v]`` is the mask of v's claim sources), for any claim
+    graph.
+
+    A layered dynamic program walks the reachable down-sets, prefixes
+    holding every claim source of each of their members: layer t maps each
+    down-set of size t to the number of orders that build it, and only the
+    current layer is kept.  A claim cycle leaves no down-set of full size,
+    so the count is 0.  A layer may hold at most ``DOWN_SET_BUDGET`` states;
+    past that ``DownSetBudgetError`` is raised rather than running out of
+    memory.
+    """
+    steps = [(1 << i, pred[i]) for i in _iter_bits(part)]
+    layer = {0: 1}
+    for _ in steps:
+        grown = {}
+        get = grown.get
+        for done, ways in layer.items():
+            rest = ~done
+            for b, p in steps:
+                if b & rest and not p & rest:
+                    key = done | b
+                    grown[key] = get(key, 0) + ways
+            if len(grown) > DOWN_SET_BUDGET:
+                raise DownSetBudgetError(len(steps), DOWN_SET_BUDGET)
+        if not grown:
+            return 0
+        layer = grown
+    return layer[part]
 
 
 def _checked_cap(cap: int) -> int:
@@ -271,7 +383,7 @@ def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple, preds, targets: in
     for d in range(1, l + 1):
         r = chain[d - 1]
         sources = 0  # claim sources of r's members that lie outside r
-        for v in _iter_bits(r):
+        for v in _iter_bits(r & targets):  # preds[v] is 0 off the targets
             sources |= preds[v]
         sources &= ~r
         sub = cur[d - 1]  # frozen from here on: prefixes beyond d-1 are not inside r

@@ -136,8 +136,10 @@ def _mask_components(nbr, mask) -> list[int]:
         comp = frontier = mask & -mask
         while frontier:
             reach = 0
-            for u in _iter_bits(frontier):
-                reach |= nbr[u]
+            while frontier:  # _iter_bits inlined: this loop is hot
+                low = frontier & -frontier
+                reach |= nbr[low.bit_length() - 1]
+                frontier ^= low
             frontier = reach & mask & ~comp
             comp |= frontier
         comps.append(comp)

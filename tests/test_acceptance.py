@@ -1,4 +1,4 @@
-"""Release gate: twelve end-to-end checks with pinned tolerances.
+"""Release gate: thirteen end-to-end checks with pinned tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one summary line
 per check.  Every expected number here was produced by the brute-force
@@ -288,6 +288,54 @@ def test_grown_knowledge_is_no_slower_to_count():
     report(
         "growth comparison",
         f"10 pairs, every grown set >= 1.5x larger, worst time ratio {worst:.2f}",
+    )
+
+
+def test_grown_knowledge_is_no_slower_to_count_on_positive_counts():
+    """The growth comparison's draws with base and grown claims turned along
+    one LBFS ordering of the graph, as in the positive-count scaling sweep, so
+    every count is positive and the clique permutation counts run.  Each
+    draw counts both instances back to back ``pairs`` times and compares the
+    median ratio of those pairs: a stall of a fraction of a millisecond, or a
+    drift in the host's speed, spoils a few pairs and not the median."""
+    triples = [
+        (140, 4, 0), (140, 5, 8), (140, 6, 0), (140, 6, 8), (180, 4, 5),
+        (180, 5, 2), (180, 6, 5), (220, 5, 0), (220, 6, 2), (220, 6, 7),
+    ]
+    pairs = 101
+    worst = 0.0
+    for n, k, seed in triples:
+        g = random_chordal(GenConfig(n=n, seed=seed))
+        k1 = gen_background(g, k, seed + 1)
+        k2, grew = grow_background(g, k1, seed + 2)
+        assert grew
+        pos = {v: i for i, v in enumerate(lbfs_order(g))}
+        graph = PartiallyDirectedGraph(n, g.edges(), ())
+        i1, i2 = (
+            MecInstance(
+                graph,
+                BackgroundKnowledge(
+                    (u, v) if pos[u] < pos[v] else (v, u) for u, v in kn.pairs
+                ),
+            )
+            for kn in (k1, k2)
+        )
+        assert len(i2.knowledge) >= 1.5 * len(i1.knowledge), (n, k, seed)
+        assert max_clique_knowledge(i1) == max_clique_knowledge(i2)
+        for instance in (i1, i2):  # warm-up
+            result, _ = time_count(instance)
+            assert result.count > 0, (n, k, seed)
+            assert result.stats.phi_chain_evaluations > 0, (n, k, seed)
+        ratios = []
+        for _ in range(pairs):
+            t1 = time_count(i1)[1]
+            ratios.append(time_count(i2)[1] / t1)
+        ratio = statistics.median(ratios)
+        assert ratio <= 1.2, (n, k, seed, ratio)
+        worst = max(worst, ratio)
+    report(
+        "positive-count growth comparison",
+        f"10 draws, every grown set >= 1.5x larger, worst median time ratio {worst:.2f}",
     )
 
 

@@ -185,6 +185,29 @@ class TestPsiCap:
         # the default cap of 20 is back, so the four claim-touched vertices fit
         assert main(["count", self.complete4(tmp_path)]) == EXIT_OK
 
+    def test_the_down_set_budget_exits_like_the_cap(self, tmp_path, monkeypatch, capsys):
+        # a and b both precede c and d: the claims hold a cycle of links, so
+        # the down-set DP counts them, and its first layer holds {a} and {b}
+        path = write(
+            tmp_path,
+            "k4_square.json",
+            {
+                "format": FORMAT_NAME,
+                "version": FORMAT_VERSION,
+                "vertices": ["a", "b", "c", "d"],
+                "undirected_edges": [
+                    ["a", "b"], ["a", "c"], ["a", "d"],
+                    ["b", "c"], ["b", "d"], ["c", "d"],
+                ],
+                "knowledge": [["a", "c"], ["b", "c"], ["a", "d"], ["b", "d"]],
+            },
+        )
+        assert main(["count", path]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "4"
+        monkeypatch.setattr(amocount.counting, "DOWN_SET_BUDGET", 1)
+        assert main(["count", path]) == EXIT_CAP
+        assert "down-sets" in capsys.readouterr().err
+
 
 class TestGen:
     def test_writes_loadable_instance(self, tmp_path, capsys):

@@ -206,6 +206,106 @@ class TestPsiSplit:
         assert (e.value.size, e.value.cap) == (21, DEFAULT_PERMUTATION_CAP)
 
 
+def random_polytree(rng, vertices):
+    """Claims along a random spanning tree of ``vertices``, each turned either
+    way at random."""
+    vs = list(vertices)
+    rng.shuffle(vs)
+    pairs = []
+    for i in range(1, len(vs)):
+        u, v = vs[rng.randrange(i)], vs[i]
+        pairs.append((u, v) if rng.random() < 0.5 else (v, u))
+    return pairs
+
+
+def euler_zigzag(m):
+    """Alternating permutations of m elements (Seidel's triangle), the
+    orders of a zigzag claim set of m vertices."""
+    row = [1]
+    for _ in range(m):
+        nxt = [0]
+        for x in reversed(row):
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
+class TestPsiTrees:
+    """Claim sets whose parts are all trees are counted by Atkinson's subtree
+    dynamic program, never by the down-set one; any other claim set has all
+    its parts counted by the down-set one."""
+
+    @pytest.fixture
+    def no_down_sets(self, monkeypatch):
+        def refuse(pred, part):
+            raise AssertionError("a forest claim set reached the down-set DP")
+
+        monkeypatch.setattr(counting_module, "_down_set_count", refuse)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_small_forests_match_enumeration(self, seed, no_down_sets):
+        # one to four trees over up to eight vertices
+        rng = random.Random(600_000 + seed)
+        m = rng.randint(1, 8)
+        members = rng.sample(range(30), m)
+        cuts = sorted(rng.sample(range(1, m), rng.randint(0, min(3, m - 1))))
+        pairs = []
+        for a, b in zip([0] + cuts, cuts + [m]):
+            pairs += random_polytree(rng, members[a:b])
+        k = BackgroundKnowledge(pairs)
+        assert psi(frozenset(members), k) == psi_bruteforce(members, k) > 0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_polytrees_match_the_down_set_count(self, seed):
+        rng = random.Random(610_000 + seed)
+        m = rng.randint(2, 16)
+        pred = [0] * m
+        for u, v in random_polytree(rng, range(m)):
+            pred[v] |= 1 << u
+        expected = counting_module._down_set_count(pred, (1 << m) - 1)
+        assert counting_module._linear_extension_count(tuple(range(m)), pred) == expected
+
+    def test_out_star_of_twenty(self, no_down_sets):
+        k = BackgroundKnowledge((0, v) for v in range(1, 20))
+        assert psi(frozenset(range(20)), k) == math.factorial(19)
+        in_star = BackgroundKnowledge((v, 19) for v in range(19))
+        assert psi(frozenset(range(20)), in_star) == math.factorial(19)
+
+    def test_zigzag_of_forty_gives_the_euler_number(self, no_down_sets):
+        # claims 0 -> 1 <- 2 -> 3 <- ... -> 39
+        k = BackgroundKnowledge((i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(39))
+        assert [euler_zigzag(m) for m in range(1, 7)] == [1, 1, 2, 5, 16, 61]
+        assert psi(frozenset(range(40)), k, cap=40) == euler_zigzag(40)
+
+    def test_a_transitive_triangle_is_not_a_tree(self):
+        k = BackgroundKnowledge([(0, 1), (1, 2), (0, 2)])
+        assert psi(frozenset(range(3)), k) == 1 == psi_bruteforce(range(3), k)
+        k = BackgroundKnowledge([(0, 1), (0, 2), (1, 2), (3, 4)])
+        assert psi(frozenset(range(5)), k) == 10 == psi_bruteforce(range(5), k)
+
+    def test_a_tree_part_next_to_a_cyclic_part(self):
+        tree = [(0, 1), (2, 1), (2, 3)]
+        cycle = [(4, 5), (5, 6), (6, 4)]
+        k = BackgroundKnowledge(tree + cycle)
+        assert psi(frozenset(range(7)), k) == 0 == psi_bruteforce(range(7), k)
+        k = BackgroundKnowledge(tree + [(4, 5), (5, 6), (4, 6)])
+        assert psi(frozenset(range(7)), k) == psi_bruteforce(range(7), k) == 35 * 5
+
+    def test_the_down_set_budget_fails_loudly(self, monkeypatch):
+        # 0 and 1 both precede 2 and 3: a four-cycle of links, not a tree,
+        # whose first layer holds the two down-sets {0} and {1}
+        k = BackgroundKnowledge([(0, 2), (1, 2), (0, 3), (1, 3)])
+        assert psi(frozenset(range(4)), k) == 4
+        monkeypatch.setattr(counting_module, "DOWN_SET_BUDGET", 1)
+        with pytest.raises(counting_module.DownSetBudgetError) as e:
+            psi(frozenset(range(4)), k)
+        assert (e.value.size, e.value.budget) == (4, 1)
+
+    def test_the_budget_sits_above_every_layer_the_default_cap_allows(self):
+        most = math.comb(DEFAULT_PERMUTATION_CAP, DEFAULT_PERMUTATION_CAP // 2)
+        assert counting_module.DOWN_SET_BUDGET > most
+
+
 class TestPhi:
     def test_five_vertex_chain_of_two_claims(self):
         out = phi(frozenset({1, 2, 3, 4, 5}), PrefixChain(), BackgroundKnowledge([(1, 2), (2, 3)]))
