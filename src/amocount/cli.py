@@ -1,10 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 comparison mismatch or partial benchmark failure,
-2 parse or validation error, 3 permutation/oracle cap or down-set budget
-exceeded, 4 generation failure.  The AMOCOUNT_PSI_CAP environment variable
-sets the default permutation cap; --psi-cap overrides it.  A cap must be a
-nonnegative integer.
+2 parse or validation error or a file that cannot be read or written, 3
+permutation/oracle cap or down-set budget exceeded, 4 generation failure.
+The AMOCOUNT_PSI_CAP environment variable sets the default permutation cap;
+--psi-cap overrides it.  A cap must be a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, InvalidInstanceError, FileNotFoundError) as e:
+    except (InstanceFormatError, InvalidInstanceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except (PermutationCapError, DownSetBudgetError, OracleCapError) as e:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from .graphs import (
     UndirectedGraph,
-    _all_cliques,
     _claim_endpoints,
     _is_maximal_clique,
     _iter_bits,
@@ -744,10 +743,11 @@ def count_uccg(
     if g.n == 0:
         raise ValueError("graph is empty")
     nbr = _masks(g)[1]
-    cliques, parents = _mcs_cliques(nbr, (1 << g.n) - 1)
+    search = _mcs_cliques(nbr, (1 << g.n) - 1)
+    cliques, parents = search
     if parents.count(None) != 1:  # each component starts with a parentless clique
         raise ValueError("clique tree requires a connected graph")
-    if not _all_cliques(nbr, cliques):  # see graphs._all_cliques
+    if search.nonchordal:
         raise ValueError("graph is not chordal")
     host = _Host(g.vertices, nbr, pairs)
     if root is not None:

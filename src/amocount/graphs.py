@@ -228,38 +228,26 @@ def lbfs_order(g: UndirectedGraph) -> list:
     return [g.vertices[i] for i in order]
 
 
-def _all_cliques(nbr, masks) -> bool:
-    """Whether every mask in ``masks`` is a clique.
-
-    Given the vertex sets that maximum cardinality search (``_mcs_cliques``)
-    closes on a graph, this is a chordality test.  On a chordal graph they
-    are its maximal cliques (Tarjan and Yannakakis 1984).  Conversely, when
-    every set is a clique, so is each vertex's set of earlier-numbered
-    neighbours: a vertex that opens a set brings exactly those neighbours
-    into it, and a vertex that grows the open set outweighs the previous
-    vertex by one, so its earlier neighbours are as many as the open set
-    holds and, being adjacent to all of it, are that set.  The search order
-    reversed is then a perfect elimination ordering.
-    """
-    for clique in masks:
-        rest = clique
-        while rest:
-            low = rest & -rest
-            if clique & ~nbr[low.bit_length() - 1] != low:
-                return False
-            rest ^= low
-    return True
-
-
 def is_chordal(g: UndirectedGraph) -> bool:
     """Whether ``g`` is chordal."""
     _, nbr = _masks(g)
-    return _all_cliques(nbr, _mcs_cliques(nbr, (1 << g.n) - 1)[0])
+    return not _mcs_cliques(nbr, (1 << g.n) - 1).nonchordal
 
 
-def _mcs_cliques(nbr, sub) -> tuple[list[int], list]:
+class _Search(tuple):
+    """What ``_mcs_cliques`` returns: the pair ``(cliques, parents)``, and in
+    ``nonchordal`` the mask of the vertices where a chordality check failed,
+    0 exactly when the searched graph is chordal."""
+
+    def __new__(cls, cliques, parents, nonchordal):
+        search = super().__new__(cls, (cliques, parents))
+        search.nonchordal = nonchordal
+        return search
+
+
+def _mcs_cliques(nbr, sub) -> _Search:
     """Maximal cliques of the chordal graph on the nonempty mask ``sub``, and a
-    clique tree.
+    clique tree; the same search tells whether the graph is chordal.
 
     Runs maximum cardinality search with weight buckets (masks of the
     unnumbered vertices of each weight, so the lowest position on ties is the
@@ -269,7 +257,37 @@ def _mcs_cliques(nbr, sub) -> tuple[list[int], list]:
     parents form a clique tree rooted at the first clique, and every parent
     comes before its children.  A clique with no earlier neighbour starts a
     new component and has parent None.  Returns ``(cliques, parents)``,
-    cliques as masks in the order they were found.
+    cliques as masks in the order they were found, with ``nonchordal`` set to
+    the mask of the vertices where one of two checks failed: a vertex that
+    grows the open set must be adjacent to all of it, and the earlier
+    neighbours of a vertex that opens a set must lie in its parent clique.
+
+    The checks are a chordality test (Tarjan and Yannakakis 1984).  When
+    they all pass, each vertex's earlier neighbours form a clique, so the
+    search order reversed is a perfect elimination ordering.  By induction,
+    the open set is a clique and is the last vertex with its earlier
+    neighbours.  A vertex that grows it outweighs the previous vertex by
+    one, so its earlier neighbours are as many as the open set holds and,
+    being adjacent to all of it, are that set.  A vertex that opens a set
+    brings its earlier neighbours, which lie in a closed clique, so they and
+    the new set are cliques.
+
+    Conversely, on a chordal graph every check passes, since each vertex's
+    earlier neighbours form a clique.  A vertex that grows the open set
+    gained its extra weight from the previous vertex u, so its earlier
+    neighbours are u and as many others as u has earlier neighbours.  Those
+    others are adjacent to u and numbered before it, so they are u's earlier
+    neighbours, and with u they are the open set.  A vertex that opens a set
+    has its earlier neighbours inside the set that its most recently
+    numbered earlier neighbour w was numbered into: the rest of them are
+    adjacent to w and numbered before it, so they are earlier neighbours of
+    w, which that set held from w on.  That set is Blair and Peyton's
+    parent, so the parent clique holds all of the earlier neighbours.
+
+    Each component of the searched graph is numbered completely before the
+    search leaves it, and a failed check's vertex lies in the component
+    being numbered, so a component is chordal exactly when it holds none of
+    the ``nonchordal`` vertices.
     """
     buckets = [0] * (sub.bit_count() + 1)
     buckets[0] = unnumbered = sub
@@ -281,6 +299,7 @@ def _mcs_cliques(nbr, sub) -> tuple[list[int], list]:
     current = 0
     up = None  # parent of the open clique
     prev_card = -1
+    nonchordal = 0
     while unnumbered:
         while not buckets[best]:
             best -= 1
@@ -294,9 +313,13 @@ def _mcs_cliques(nbr, sub) -> tuple[list[int], list]:
             current = low | earlier
             if earlier & (earlier - 1):
                 up = max(map(home.__getitem__, _iter_bits(earlier)))
+                if earlier & ~cliques[up]:
+                    nonchordal |= low
             else:  # one earlier neighbour, or none (position -1) at a new component
                 up = home.get(earlier.bit_length() - 1)
         else:
+            if current & ~nbr[v]:
+                nonchordal |= low
             current |= low
         home[v] = open_index
         prev_card = best
@@ -316,7 +339,7 @@ def _mcs_cliques(nbr, sub) -> tuple[list[int], list]:
         best += 1
     cliques.append(current)
     parents.append(up)
-    return cliques, parents
+    return _Search(cliques, parents, nonchordal)
 
 
 def maximal_cliques(g: UndirectedGraph) -> list[tuple[int, ...]]:
@@ -327,9 +350,10 @@ def maximal_cliques(g: UndirectedGraph) -> list[tuple[int, ...]]:
     if g.n == 0:
         return []
     _, nbr = _masks(g)
-    cliques, _ = _mcs_cliques(nbr, (1 << g.n) - 1)
-    if not _all_cliques(nbr, cliques):
+    search = _mcs_cliques(nbr, (1 << g.n) - 1)
+    if search.nonchordal:
         raise ValueError("graph is not chordal")
+    cliques = search[0]
     vs = g.vertices
     return sorted(tuple(vs[i] for i in _iter_bits(c)) for c in cliques)
 

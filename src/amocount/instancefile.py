@@ -42,8 +42,8 @@ def _label_pairs(raw, key, label_ids):
     _expect(isinstance(raw, list), f"'{key}' must be an array")
     pairs = []
     append = pairs.append
-    # This loop runs once per edge: a bad item only stops it, and
-    # _raise_bad_pair finds the first bad item again and names its fault.
+    # A bad item only stops this loop, and _raise_bad_pair finds the first
+    # bad item again and names its fault.
     try:
         for item in raw:
             if type(item) is not list:
@@ -56,6 +56,32 @@ def _label_pairs(raw, key, label_ids):
             append((u, v))
         else:
             return pairs
+    except (ValueError, KeyError, TypeError):
+        pass
+    _raise_bad_pair(raw, key, label_ids)
+
+
+def _label_masks(raw, key, label_ids):
+    """The pairs of ``raw`` read as ``_label_pairs`` reads them, but ORed
+    into one neighbour mask per vertex instead of listed."""
+    _expect(isinstance(raw, list), f"'{key}' must be an array")
+    n = len(label_ids)
+    bit = [1 << v for v in range(n)]
+    masks = [0] * n
+    # This loop runs once per undirected edge of the instance.
+    try:
+        for item in raw:
+            if type(item) is not list:
+                break
+            a, b = item
+            u = label_ids[a]
+            v = label_ids[b]
+            if u == v:
+                break
+            masks[u] |= bit[v]
+            masks[v] |= bit[u]
+        else:
+            return masks
     except (ValueError, KeyError, TypeError):
         pass
     _raise_bad_pair(raw, key, label_ids)
@@ -94,13 +120,13 @@ def parse_instance_text(text: str) -> InstanceDocument:
     _expect(len(set(labels)) == len(labels), "'vertices' contains duplicate labels")
     label_ids = {lab: i for i, lab in enumerate(labels)}
 
-    und = _label_pairs(doc.get("undirected_edges", []), "undirected_edges", label_ids)
+    und = _label_masks(doc.get("undirected_edges", []), "undirected_edges", label_ids)
     dire = _label_pairs(doc.get("directed_edges", []), "directed_edges", label_ids)
     know = _label_pairs(doc.get("knowledge", []), "knowledge", label_ids)
     metadata = doc.get("metadata", {})
     _expect(isinstance(metadata, dict), "'metadata' must be an object")
     try:
-        graph = PartiallyDirectedGraph(len(labels), und, dire)
+        graph = PartiallyDirectedGraph._from_masks(und, dire)
         knowledge = BackgroundKnowledge(know)
     except ValueError as e:
         raise InstanceFormatError(str(e)) from None
@@ -109,7 +135,11 @@ def parse_instance_text(text: str) -> InstanceDocument:
 
 def load_instance(path) -> InstanceDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise InstanceFormatError(f"not UTF-8 text: {e}") from None
+    return parse_instance_text(text)
 
 
 def serialize_instance(doc: InstanceDocument) -> str:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .graphs import (
     UndirectedGraph,
-    _all_cliques,
     _claim_endpoints,
     _iter_bits,
     _mcs_cliques,
@@ -84,7 +83,7 @@ class PartiallyDirectedGraph:
     exactly one direction.
     """
 
-    __slots__ = ("n", "directed", "_masks", "_undirected_trees")
+    __slots__ = ("n", "directed", "_masks", "_undirected_trees", "_nonchordal")
 
     def __init__(self, n: int, undirected=(), directed=()):
         if n < 0:
@@ -97,6 +96,22 @@ class PartiallyDirectedGraph:
                 masks[v] |= bit[u]
             else:
                 _raise_bad_edge(n, u, v)
+        self._set_parts(masks, directed)
+
+    @classmethod
+    def _from_masks(cls, masks, directed) -> "PartiallyDirectedGraph":
+        """The graph over vertices 0..len(masks)-1 whose undirected part has
+        the neighbour masks ``masks``, which must be symmetric and free of
+        self-loops (not checked); the directed edges are checked as in
+        ``__init__``."""
+        g = cls.__new__(cls)
+        g._set_parts(masks, directed)
+        return g
+
+    def _set_parts(self, masks, directed):
+        """Check the directed edges against each other and against the
+        undirected part's neighbour masks, then store both parts."""
+        n = len(masks)
         dire = set()
         for u, v in directed:
             if not (0 <= u < v < n or 0 <= v < u < n):
@@ -105,7 +120,7 @@ class PartiallyDirectedGraph:
                 raise ValueError(f"edge {u},{v} directed both ways")
             dire.add((u, v))
         for u, v in dire:
-            if masks[u] & bit[v]:
+            if masks[u] >> v & 1:
                 raise ValueError(f"edge {u},{v} is both directed and undirected")
         self.n = n
         self.directed = frozenset(dire)
@@ -151,8 +166,11 @@ class PartiallyDirectedGraph:
         into the per-component results."""
         if self._undirected_trees is None:
             trees = []
+            nonchordal = 0
             if self.n:
-                cliques, parents = _mcs_cliques(self.undirected_masks(), (1 << self.n) - 1)
+                search = _mcs_cliques(self.undirected_masks(), (1 << self.n) - 1)
+                cliques, parents = search
+                nonchordal = search.nonchordal
                 starts = [i for i, p in enumerate(parents) if p is None]
                 for a, b in zip(starts, starts[1:] + [len(cliques)]):
                     part = cliques[a:b]
@@ -161,7 +179,15 @@ class PartiallyDirectedGraph:
                         mask |= c
                     trees.append((mask, part, [p if p is None else p - a for p in parents[a:b]]))
             self._undirected_trees = tuple(trees)
+            self._nonchordal = nonchordal
         return self._undirected_trees
+
+    def nonchordal_vertices(self) -> int:
+        """Mask of the vertices where the search behind ``undirected_trees``
+        failed a chordality check (``_mcs_cliques``): a component of the
+        undirected part is chordal exactly when it holds none of them."""
+        self.undirected_trees()
+        return self._nonchordal
 
     @property
     def is_fully_directed(self) -> bool:
@@ -233,11 +259,12 @@ def validate(instance: MecInstance) -> list[str]:
             msgs.append(f"knowledge claim {u}->{v} is not an edge of the graph")
 
     trees = g.undirected_trees()
+    nonchordal = g.nonchordal_vertices()
     comp_of = [0] * n
-    for ci, (comp, cliques, _) in enumerate(trees):
+    for ci, (comp, _, _) in enumerate(trees):
         for v in _iter_bits(comp):
             comp_of[v] = ci
-        if not _all_cliques(nbr, cliques):
+        if comp & nonchordal:
             msgs.append(
                 f"undirected component containing vertex {(comp & -comp).bit_length() - 1}"
                 " is not chordal"
@@ -297,6 +324,6 @@ def max_clique_knowledge(instance: MecInstance) -> int:
             preds[v] |= 1 << u
             targets |= 1 << v
     cliques = [c for _, part, _ in g.undirected_trees() for c in part]
-    if not _all_cliques(g.undirected_masks(), cliques):
+    if g.nonchordal_vertices():
         raise ValueError("graph is not chordal")
     return max((_claim_endpoints(preds, c, targets).bit_count() for c in cliques), default=0)

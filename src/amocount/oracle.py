@@ -157,6 +157,23 @@ def _is_lbfs_ordering(g: UndirectedGraph, tau) -> bool:
     return True
 
 
+def is_chordal_by_elimination(g: UndirectedGraph) -> bool:
+    """Whether ``g`` is chordal, by deleting simplicial vertices (those whose
+    neighbours are pairwise adjacent) one at a time: a graph is chordal
+    exactly when that empties it (Fulkerson and Gross 1965)."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    while adj:
+        simplicial = next(
+            (v for v, nb in adj.items() if all(b in adj[a] for a, b in combinations(nb, 2))),
+            None,
+        )
+        if simplicial is None:
+            return False
+        for u in adj.pop(simplicial):
+            adj[u].discard(simplicial)
+    return True
+
+
 def amos_represented_by(g: UndirectedGraph, clique, *, cap: int = DEFAULT_ORACLE_CAP) -> tuple:
     """Orientations induced by LBFS orders that start with ``clique``.
 

@@ -74,6 +74,19 @@ class TestCount:
         assert main(["count", "/nonexistent/x.json"]) == EXIT_INVALID
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["count", "validate", "oracle"])
+    def test_directory_is_an_input_error(self, command, tmp_path, capsys):
+        assert main([command, str(tmp_path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["count", "validate", "oracle"])
+    def test_non_utf8_file_is_an_input_error(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"vertices": ["\xe9"]}'.encode("latin-1"))
+        assert main([command, str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: not UTF-8 text: ")
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope", encoding="utf-8")

@@ -8,13 +8,15 @@ import pytest
 from amocount.graphs import (
     RootedCliqueTree,
     UndirectedGraph,
+    _masks,
+    _mcs_cliques,
     clique_tree,
     connected_components,
     is_chordal,
     lbfs_order,
     maximal_cliques,
 )
-from amocount.oracle import _is_lbfs_ordering
+from amocount.oracle import _is_lbfs_ordering, is_chordal_by_elimination
 from conftest import random_uccg
 
 # the two running examples: a triangle with a pendant edge, and a
@@ -206,6 +208,68 @@ class TestChordality:
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.45]
         g = UndirectedGraph(n, edges)
         assert is_chordal(g) == brute_chordal(g), (n, edges)
+
+
+def search_verdicts(g):
+    """Per component of ``g``, by lowest vertex: whether the maximum
+    cardinality search over all of ``g`` failed a chordality check inside
+    it, and whether simplicial elimination finds it not chordal."""
+    bit, nbr = _masks(g)
+    nonchordal = _mcs_cliques(nbr, (1 << g.n) - 1).nonchordal
+    return [
+        (
+            bool(sum(map(bit.__getitem__, comp)) & nonchordal),
+            not is_chordal_by_elimination(g.induced(comp)),
+        )
+        for comp in connected_components(g)
+    ]
+
+
+def random_graphs(seed):
+    """Ten seeded graphs of 1 to 12 vertices, each with its own edge
+    probability, so that sparse draws split into several components."""
+    rng = random.Random(7_300 + seed)
+    for _ in range(10):
+        n = rng.randint(1, 12)
+        p = rng.uniform(0.05, 0.9)
+        yield UndirectedGraph(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        )
+
+
+class TestSearchChordality:
+    """The search's chordality checks against an independent reference."""
+
+    def test_every_graph_up_to_six_vertices(self):
+        seen = set()
+        for n in range(1, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for chosen in range(1 << len(pairs)):
+                g = UndirectedGraph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+                verdicts = search_verdicts(g)
+                for found, expected in verdicts:
+                    assert found == expected, (n, g.edges())
+                    seen.add(expected)
+                assert is_chordal(g) == (not any(expected for _, expected in verdicts))
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphs_up_to_twelve_vertices(self, seed):
+        for g in random_graphs(seed):
+            verdicts = search_verdicts(g)
+            assert [found for found, _ in verdicts] == [bad for _, bad in verdicts], g.edges()
+            assert is_chordal(g) == is_chordal_by_elimination(g)
+
+    def test_random_draws_reach_both_verdicts(self):
+        # on components of four or more vertices, where a chordless cycle fits
+        seen = {
+            is_chordal_by_elimination(g.induced(c))
+            for seed in range(40)
+            for g in random_graphs(seed)
+            for c in connected_components(g)
+            if len(c) >= 4
+        }
+        assert seen == {False, True}
 
 
 class TestMaximalCliques:

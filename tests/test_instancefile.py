@@ -136,6 +136,92 @@ class TestParse:
             parse_instance_text("[1, 2]")
 
 
+def seeded_document(seed):
+    """A document over labels out of vertex order whose undirected rows
+    repeat some pairs and reverse others, with directed edges and claims.
+    Returns the document and the vertex count, undirected pairs and directed
+    pairs it should parse to (a vertex is its label's sorted position)."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    labels = [f"x{i}" for i in rng.sample(range(1000), n)]
+    ids = sorted(labels)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    cut = rng.randint(1, len(pairs))
+    und = pairs[:cut]
+    und += rng.choices(und, k=rng.randint(0, len(und)))  # repeated pairs
+    und = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in und]
+    dire = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs[cut:][: rng.randint(0, 6)]]
+    claims = [(u, v) for u, v in und + dire if rng.random() < 0.2]
+    body = dict(
+        GOOD,
+        vertices=labels,
+        undirected_edges=[[ids[u], ids[v]] for u, v in und],
+        directed_edges=[[ids[u], ids[v]] for u, v in dire],
+        knowledge=[[ids[u], ids[v]] for u, v in claims],
+    )
+    return body, n, und, dire
+
+
+class TestParseIntoMasks:
+    """The parser ORs each undirected row into neighbour masks as it reads
+    it; the graph and every message stay those of the pairs."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_graph_equals_the_graph_of_the_pairs(self, seed):
+        body, n, und, dire = seeded_document(seed)
+        graph = parse_instance_text(json.dumps(body)).instance.graph
+        expected = PartiallyDirectedGraph(n, und, dire)
+        assert graph == expected
+        assert graph.undirected_masks() == expected.undirected_masks()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            (["x", "x", "x"], "must be a pair of labels"),
+            (["x", 3], "must contain string labels"),
+            (["x", "zz"], "references unknown label 'zz'"),
+            (["x", "x"], "is a self-loop"),
+        ],
+    )
+    def test_bad_row_at_a_seeded_position(self, seed, row, message):
+        body, _, _, _ = seeded_document(seed)
+        rows = body["undirected_edges"]
+        i = random.Random(seed).randint(0, len(rows))
+        label = body["vertices"][0]
+        rows.insert(i, [label if lab == "x" else lab for lab in row])
+        with pytest.raises(InstanceFormatError) as e:
+            parse_instance_text(json.dumps(body))
+        assert str(e.value) == f"undirected_edges[{i}] {message}"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_directed_both_ways(self, seed):
+        body, _, und, _ = seeded_document(seed)
+        ids = sorted(body["vertices"])
+        rows = body["directed_edges"]
+        if not rows:  # direct an undirected pair instead
+            pair = [ids[w] for w in und[0]]
+            body["undirected_edges"] = [r for r in body["undirected_edges"] if set(r) != set(pair)]
+            rows.append(pair)
+        u, v = (ids.index(label) for label in rows[0])
+        rows.insert(random.Random(seed).randint(1, len(rows)), [ids[v], ids[u]])
+        with pytest.raises(InstanceFormatError) as e:
+            parse_instance_text(json.dumps(body))
+        assert str(e.value) == f"edge {v},{u} directed both ways"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_both_directed_and_undirected(self, seed):
+        body, _, und, _ = seeded_document(seed)
+        ids = sorted(body["vertices"])
+        u, v = und[random.Random(seed).randrange(len(und))]
+        rows = body["directed_edges"]
+        rows.insert(random.Random(seed).randint(0, len(rows)), [ids[v], ids[u]])
+        with pytest.raises(InstanceFormatError) as e:
+            parse_instance_text(json.dumps(body))
+        assert str(e.value) == f"edge {v},{u} is both directed and undirected"
+
+
 class TestSerialize:
     def test_round_trip_is_identity_on_canonical_text(self):
         canonical = serialize_instance(parse_instance_text(text()))

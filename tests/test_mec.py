@@ -1,13 +1,12 @@
 """Instance model: knowledge sets, mixed graphs, validation, the parameter."""
 
-import itertools
 import random
 
 import pytest
 
 from amocount.counting import count_session
 from amocount.generators import GenConfig, random_chordal
-from amocount.graphs import _mask_components, _mcs_cliques
+from amocount.graphs import UndirectedGraph, _mask_components, _mcs_cliques
 from amocount.mec import (
     BackgroundKnowledge,
     InvalidInstanceError,
@@ -17,6 +16,7 @@ from amocount.mec import (
     max_clique_knowledge,
     validate,
 )
+from amocount.oracle import is_chordal_by_elimination
 from conftest import random_chain_instance
 
 # two undirected components {0,1} and {3,4,5}, all directed edges into 2
@@ -166,6 +166,23 @@ class TestValidate:
         out = validate(MecInstance(g, BackgroundKnowledge.empty()))
         assert any("chordal" in v for v in out)
 
+    def test_two_non_chordal_components_beside_a_chordal_one(self):
+        # the paw {0, 6, 9, 12} is chordal; {1, 3, 5, 7, 10} is the 4-cycle
+        # 3-7-10-5 with 1 hanging off 3, and {2, 4, 8, 11, 13, 14} is the
+        # 5-cycle 4-8-11-13-14 with the triangle 2-4-8 on it
+        g = PartiallyDirectedGraph(
+            15,
+            [(0, 6), (0, 9), (6, 9), (9, 12),
+             (1, 3), (3, 7), (7, 10), (10, 5), (5, 3),
+             (2, 4), (2, 8), (4, 8), (8, 11), (11, 13), (13, 14), (14, 4)],
+            [],
+        )
+        inst = MecInstance(g, BackgroundKnowledge.empty())
+        assert validate(inst) == reference_validate(inst) == [
+            "undirected component containing vertex 1 is not chordal",
+            "undirected component containing vertex 2 is not chordal",
+        ]
+
     def test_directed_edge_inside_component(self):
         g = PartiallyDirectedGraph(3, [(0, 1), (1, 2)], [(0, 2)])
         out = validate(MecInstance(g, BackgroundKnowledge.empty()))
@@ -205,7 +222,7 @@ class TestValidate:
 
 def reference_validate(instance):
     """``validate`` written with plain sets: a breadth-first search for the
-    components and greedy simplicial-vertex elimination for chordality."""
+    components and simplicial-vertex elimination for chordality."""
     g = instance.graph
     n = g.n
     skeleton = {frozenset(e) for e in g.undirected | g.directed}
@@ -233,18 +250,9 @@ def reference_validate(instance):
                     queue.append(w)
         comps.append(comp)
     for comp in comps:
-        left = set(comp)
-        while left:
-            simplicial = [
-                v for v in left
-                if all(b in adj[a] for a, b in itertools.combinations(adj[v] & left, 2))
-            ]
-            if not simplicial:
-                msgs.append(
-                    f"undirected component containing vertex {min(comp)} is not chordal"
-                )
-                break
-            left.remove(simplicial[0])
+        edges = [(u, v) for u in comp for v in adj[u] if u < v]
+        if not is_chordal_by_elimination(UndirectedGraph.from_vertices(comp, edges)):
+            msgs.append(f"undirected component containing vertex {min(comp)} is not chordal")
     quotient = set()
     for u, v in sorted(g.directed):
         if comp_of[u] == comp_of[v]:
