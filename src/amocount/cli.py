@@ -60,6 +60,7 @@ def _int_at_least(lo: int, what: str):
 
 
 _cap = _int_at_least(0, "a nonnegative integer")
+_positive = _int_at_least(1, "a positive integer")
 
 
 def _default_psi_cap() -> int:
@@ -222,12 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force count a small instance")
     p.add_argument("instance")
     p.add_argument("--compare", action="store_true", help="also run the engine and compare")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, metavar="N")
+    p.add_argument("--oracle-cap", type=_cap, default=DEFAULT_ORACLE_CAP, metavar="N")
     p.add_argument("--psi-cap", **cap_kwargs)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
-    p.add_argument("--n", type=_int_at_least(1, "a positive integer"), required=True)
+    p.add_argument("--n", type=_positive, required=True)
     p.add_argument(
         "--k",
         type=_int_at_least(2, "an integer of at least 2"),
@@ -251,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="3,4,5,6,7",
         metavar="K1,K2,...",
     )
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--pairs", type=int, default=10, help="rows in --table1 mode")
+    p.add_argument("--reps", type=_positive, default=3)
+    p.add_argument("--pairs", type=_positive, default=10, help="rows in --table1 mode")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--table1", action="store_true", help="base-vs-grown knowledge comparison mode")

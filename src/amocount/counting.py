@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .graphs import (
     UndirectedGraph,
     _claim_endpoints,
+    _claim_masks,
     _is_maximal_clique,
     _iter_bits,
     _lbfs,
@@ -115,39 +116,6 @@ def _pairs_of(knowledge) -> frozenset:
     if isinstance(knowledge, BackgroundKnowledge):
         return knowledge.pairs
     return BackgroundKnowledge(() if knowledge is None else knowledge).pairs
-
-
-class _Host:
-    """A host graph in bitmask form.
-
-    Position i holds vertex ``labels[i]``; ``nbr[i]`` is its neighbour mask
-    (``nbr`` is None where only permutations are counted) and ``preds[i]``
-    the mask of sources of the claims into it.  Subproblems are masks over
-    these positions; ``full`` is the whole graph and ``targets`` the mask of
-    claim targets.
-    """
-
-    __slots__ = ("labels", "bit", "nbr", "preds", "full", "targets")
-
-    def __init__(self, labels, nbr, pairs):
-        self.labels = labels
-        self.bit = bit = {v: 1 << i for i, v in enumerate(labels)}
-        self.nbr = nbr
-        self.full = (1 << len(labels)) - 1
-        self.preds = preds = [0] * len(labels)
-        targets = 0
-        for u, v in pairs:
-            if u in bit and v in bit:
-                preds[bit[v].bit_length() - 1] |= bit[u]
-                targets |= bit[v]
-        self.targets = targets
-
-    def mask(self, vertices) -> int:
-        return sum(map(self.bit.__getitem__, vertices))
-
-    def vertices(self, mask: int) -> list:
-        labels = self.labels
-        return [labels[i] for i in _iter_bits(mask)]
 
 
 def _linear_extension_count(members: tuple, preds) -> int:
@@ -308,28 +276,32 @@ def psi(vertex_set, knowledge, *, cap: int = DEFAULT_PERMUTATION_CAP) -> int:
             raise ValueError(f"claim {u}->{v} has an endpoint outside the vertex set")
     if len(vk) > cap:
         raise PermutationCapError(len(vk), cap)
-    host = _Host(tuple(sorted(vk)), None, pairs)
-    return _linear_extension_count(tuple(range(len(vk))), host.preds)
+    preds, _ = _claim_masks({v: 1 << i for i, v in enumerate(sorted(vk))}, pairs)
+    return _linear_extension_count(tuple(range(len(vk))), preds)
 
 
 class _PermCounter:
-    """Shared permutation-counting caches.
+    """Shared permutation-counting caches over one host's claim masks
+    (``_claim_masks``): ``preds[v]`` is the mask of v's claim sources and
+    ``targets`` the mask of claim targets.
 
-    Sound only while the host and its claims stay fixed: every query
-    concerns the claims of one host restricted to some vertex mask, so cache
-    keys can be vertex sets alone.
+    The claims stay fixed for the counter's whole life, and every query
+    concerns them restricted to some vertex mask, so cache keys can be
+    vertex sets alone.
     """
 
-    __slots__ = ("cap", "_phi0", "_psi", "psi_evals", "phi0_evals")
+    __slots__ = ("cap", "preds", "targets", "_phi0", "_psi", "psi_evals", "phi0_evals")
 
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, preds, targets: int):
         self.cap = _checked_cap(cap)
+        self.preds = preds
+        self.targets = targets
         self._phi0 = {}
         self._psi = {}
         self.psi_evals = 0
         self.phi0_evals = 0
 
-    def psi_value(self, vk: tuple, preds) -> int:
+    def psi_value(self, vk: tuple) -> int:
         """Consistent permutations of the claim endpoints ``vk``, a tuple of
         host positions."""
         val = self._psi.get(vk)
@@ -337,34 +309,32 @@ class _PermCounter:
             if len(vk) > self.cap:
                 raise PermutationCapError(len(vk), self.cap)
             self.psi_evals += 1
-            val = _linear_extension_count(vk, preds)
+            val = _linear_extension_count(vk, self.preds)
             self._psi[vk] = val
         return val
 
-    def phi_empty(self, x: int, preds, targets: int) -> int:
-        """Consistent permutations of the mask x, no prefix forbidden
-        (``targets`` is the mask of claim targets).
+    def phi_empty(self, x: int) -> int:
+        """Consistent permutations of the mask x, no prefix forbidden.
 
         A mask with no claim target holds no claim, so it counts |x|! with
         no cache lookup; only masks that hold a target are cached and
         counted in ``phi0_evals``.
         """
-        if not x & targets:
+        if not x & self.targets:
             return math.factorial(x.bit_count())
         val = self._phi0.get(x)
         if val is None:
             self.phi0_evals += 1
-            vk = _claim_endpoints(preds, x, targets)
+            vk = _claim_endpoints(self.preds, x, self.targets)
             n = x.bit_count()
-            val = math.perm(n, n - vk.bit_count()) * self.psi_value(tuple(_iter_bits(vk)), preds)
+            val = math.perm(n, n - vk.bit_count()) * self.psi_value(tuple(_iter_bits(vk)))
             self._phi0[x] = val
         return val
 
 
-def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple, preds, targets: int) -> int:
+def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple) -> int:
     """Consistent permutations of the mask ``host`` avoiding every chain
-    prefix (masks inside it, smallest first); ``preds`` and ``targets`` as
-    for ``_PermCounter.phi_empty``.
+    prefix (masks inside it, smallest first), under ``ctx``'s claims.
 
     Iterative version of the standard three-case recursion: with an empty
     chain the count factors into a quotient of factorials times a
@@ -376,9 +346,10 @@ def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple, preds, targets: in
     """
     l = len(chain)
     if l == 0:
-        return ctx.phi_empty(host, preds, targets)
+        return ctx.phi_empty(host)
+    preds, targets = ctx.preds, ctx.targets
     hosts = list(chain) + [host]
-    cur = [ctx.phi_empty(h, preds, targets) for h in hosts]
+    cur = [ctx.phi_empty(h) for h in hosts]
     for d in range(1, l + 1):
         r = chain[d - 1]
         sources = 0  # claim sources of r's members that lie outside r
@@ -389,7 +360,7 @@ def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple, preds, targets: in
         for i in range(d, l + 1):
             h = hosts[i]
             if not sources & h:
-                cur[i] = cur[i] - sub * ctx.phi_empty(h & ~r, preds, targets)
+                cur[i] = cur[i] - sub * ctx.phi_empty(h & ~r)
     return cur[l]
 
 
@@ -403,9 +374,10 @@ def phi(vertex_set, chain, knowledge, *, psi_cap: int = DEFAULT_PERMUTATION_CAP)
     for u, v in pairs:
         if u not in s or v not in s:
             raise ValueError(f"claim {u}->{v} has an endpoint outside the host set")
-    host = _Host(tuple(sorted(s)), None, pairs)
-    chain_masks = tuple(map(host.mask, ch))
-    return _phi_with_ctx(_PermCounter(psi_cap), host.full, chain_masks, host.preds, host.targets)
+    bit = {v: 1 << i for i, v in enumerate(sorted(s))}
+    chain_masks = tuple(sum(map(bit.__getitem__, r)) for r in ch)
+    ctx = _PermCounter(psi_cap, *_claim_masks(bit, pairs))
+    return _phi_with_ctx(ctx, (1 << len(s)) - 1, chain_masks)
 
 
 def lbfs_background(g: UndirectedGraph, clique, knowledge) -> LbfsResult:
@@ -423,9 +395,11 @@ def lbfs_background(g: UndirectedGraph, clique, knowledge) -> LbfsResult:
     for u, v in pairs:
         if u not in g.vertex_set or v not in g.vertex_set or not g.has_edge(u, v):
             raise ValueError(f"claim {u}->{v} is not an edge of the graph")
-    host = _Host(g.vertices, _masks(g)[1], pairs)
-    flag, comps, _ = _lbfs(host.nbr, host.full, host.mask(c), host.preds, True)
-    return LbfsResult(bool(flag), tuple(frozenset(host.vertices(h)) for h in comps))
+    bit, nbr = _masks(g)
+    preds, _ = _claim_masks(bit, pairs)
+    flag, comps, _ = _lbfs(nbr, (1 << g.n) - 1, sum(map(bit.__getitem__, c)), preds, True)
+    vs = g.vertices
+    return LbfsResult(bool(flag), tuple(frozenset(vs[i] for i in _iter_bits(h)) for h in comps))
 
 
 def forbidden_prefixes(tree, clique) -> PrefixChain:
@@ -635,23 +609,22 @@ class SessionResult:
 class CountingSession:
     """One counting run over a fixed host skeleton and claim set.
 
+    ``preds`` and ``targets`` are the host's claim masks (``_claim_masks``).
     Holds the memo table over subproblem vertex masks and the shared
     permutation caches; reusing a session with a different host graph or
     claim set is unsound.
     """
 
-    def __init__(self, knowledge, *, psi_cap: int | None = None):
-        pairs = _pairs_of(knowledge)
+    def __init__(self, preds, targets: int, *, psi_cap: int | None = None):
         cap = DEFAULT_PERMUTATION_CAP if psi_cap is None else psi_cap
-        self.pairs = pairs
-        self.ctx = _PermCounter(cap)
+        self.ctx = _PermCounter(cap, preds, targets)
         self.memo = {}
         self.clique_picks = 0
         self.walked_cliques = 0
         self.phi_chain_evals = 0
         self.memo_hits = 0
 
-    def _count(self, host: _Host, sub: int, tree: tuple) -> int:
+    def _count(self, sub: int, tree: tuple) -> int:
         """Count the connected chordal subproblem ``sub``.
 
         ``tree`` is its ``(cliques, parents)``, parents listed before their
@@ -689,14 +662,13 @@ class CountingSession:
             self.memo_hits += 1
             return val
         cliques, parents = tree
-        preds = host.preds
-        targets = host.targets
+        ctx = self.ctx
         if len(cliques) == 1:
-            val = self.ctx.phi_empty(sub, preds, targets)
+            val = ctx.phi_empty(sub)
             self.memo[sub] = val
             return val
         chains = _prefix_chains(cliques, parents)
-        sides, walked = _group_table(cliques, parents, preds, targets)
+        sides, walked = _group_table(cliques, parents, ctx.preds, ctx.targets)
         self.walked_cliques += walked
         total = 0
         for clique, chain, entries in zip(cliques, chains, sides):
@@ -706,9 +678,9 @@ class CountingSession:
             prod = 1
             for entry in entries:
                 for h, t in entry:
-                    prod *= self._count(host, h, t)
+                    prod *= self._count(h, t)
             self.phi_chain_evals += 1
-            total += prod * _phi_with_ctx(self.ctx, clique, chain, preds, targets)
+            total += prod * _phi_with_ctx(ctx, clique, chain)
         self.memo[sub] = total
         return total
 
@@ -742,23 +714,22 @@ def count_uccg(
             raise ValueError(f"claim {u}->{v} is not an edge of the graph")
     if g.n == 0:
         raise ValueError("graph is empty")
-    nbr = _masks(g)[1]
+    bit, nbr = _masks(g)
     search = _mcs_cliques(nbr, (1 << g.n) - 1)
     cliques, parents = search
     if parents.count(None) != 1:  # each component starts with a parentless clique
         raise ValueError("clique tree requires a connected graph")
     if search.nonchordal:
         raise ValueError("graph is not chordal")
-    host = _Host(g.vertices, nbr, pairs)
     if root is not None:
         key = tuple(sorted(root))
-        root = host.mask(key) if g.vertex_set.issuperset(key) else 0
+        root = sum(map(bit.__getitem__, key)) if g.vertex_set.issuperset(key) else 0
         # A repeated label would carry into another bit, so count the bits.
         if root.bit_count() != len(key) or root not in cliques:
             raise ValueError(f"{key} is not a maximal clique of the graph")
         cliques, parents = _reroot(cliques, parents, cliques.index(root))
-    session = CountingSession(pairs, psi_cap=psi_cap)
-    return session._count(host, host.full, (cliques, parents))
+    session = CountingSession(*_claim_masks(bit, pairs), psi_cap=psi_cap)
+    return session._count((1 << g.n) - 1, (cliques, parents))
 
 
 def count_session(instance: MecInstance, *, psi_cap: int | None = None) -> SessionResult:
@@ -767,22 +738,22 @@ def count_session(instance: MecInstance, *, psi_cap: int | None = None) -> Sessi
     Raises InvalidInstanceError when validation fails.  Returns the exact
     count together with per-component and whole-session statistics.
     """
-    session = CountingSession(instance.knowledge, psi_cap=psi_cap)
+    graph = instance.graph
+    # Vertex v holds bit v, so the masks of all components share one bit
+    # space and can share the memo soundly.
+    bit = {v: 1 << v for v in range(graph.n)}
+    session = CountingSession(*_claim_masks(bit, instance.knowledge.pairs), psi_cap=psi_cap)
     violations = validate(instance)
     if violations:
         raise InvalidInstanceError(violations)
-    graph = instance.graph
     comp_stats = []
     if any((v, u) in graph.directed for (u, v) in instance.knowledge):
         count = 0  # a claim reverses one of the graph's own directed edges
     else:
-        # One host over the whole undirected part keeps the masks of all
-        # components in one bit space, so they share the memo soundly.
-        host = _Host(range(graph.n), graph.undirected_masks(), session.pairs)
         count = 1
         for sub, cliques, parents in graph.undirected_trees():
             before = len(session.memo)
-            count *= session._count(host, sub, (cliques, parents))
+            count *= session._count(sub, (cliques, parents))
             comp_stats.append(
                 ComponentStats(
                     vertices=sub.bit_count(),

@@ -23,6 +23,9 @@ from .graphs import (
 )
 from .mec import BackgroundKnowledge
 
+# Draws ``random_chordal`` makes before it gives up on a connected graph.
+MAX_ATTEMPTS = 1000
+
 
 class GenerationError(RuntimeError):
     pass
@@ -39,7 +42,6 @@ class GenConfig:
     n: int
     p_range: tuple = (0.1, 0.3)
     seed: int = 0
-    max_attempts: int = 1000
 
     def __post_init__(self):
         if self.n < 1:
@@ -54,7 +56,7 @@ def random_chordal_with_stats(cfg: GenConfig) -> tuple:
     rng = random.Random(cfg.seed)
     lo, hi = cfg.p_range
     n = cfg.n
-    for attempt in range(1, cfg.max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         p = lo + rng.random() * (hi - lo)
         adj = [0] * n
         for i in range(n):
@@ -78,7 +80,7 @@ def random_chordal_with_stats(cfg: GenConfig) -> tuple:
         ]
         return UndirectedGraph(n, edges), {"p": p, "attempts": attempt}
     raise GenerationError(
-        f"no connected chordal graph with n={n} after {cfg.max_attempts} attempts"
+        f"no connected chordal graph with n={n} after {MAX_ATTEMPTS} attempts"
     )
 
 

@@ -147,6 +147,24 @@ def _mask_components(nbr, mask) -> list[int]:
     return comps
 
 
+def _claim_masks(bit, pairs) -> tuple[list, int]:
+    """The claims ``pairs`` as the engine reads them: ``preds[i]`` is the
+    mask of the sources of the claims into position i, and ``targets`` the
+    mask of claim targets.
+
+    ``bit`` maps each vertex to the bit of its position, positions running
+    0..len(bit)-1; a claim with an end outside ``bit`` is dropped.
+    """
+    preds = [0] * len(bit)
+    targets = 0
+    for u, v in pairs:
+        if u in bit and v in bit:
+            b = bit[v]
+            preds[b.bit_length() - 1] |= bit[u]
+            targets |= b
+    return preds, targets
+
+
 def _claim_endpoints(preds, x, targets) -> int:
     """The vertices of the mask ``x`` that are endpoints of a claim inside it.
 

@@ -9,11 +9,13 @@ directed edges.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .graphs import (
     UndirectedGraph,
     _claim_endpoints,
+    _claim_masks,
     _iter_bits,
     _mcs_cliques,
     connected_components,
@@ -28,7 +30,12 @@ class BackgroundKnowledge:
     def __init__(self, pairs=()):
         norm = set()
         for u, v in pairs:
-            u, v = int(u), int(v)
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(
+                    f"direction claim {u!r}->{v!r} needs integer endpoints"
+                ) from None
             if u == v:
                 raise ValueError(f"direction claim {u}->{v} is a self-loop")
             norm.add((u, v))
@@ -316,13 +323,7 @@ def max_clique_knowledge(instance: MecInstance) -> int:
     if not pairs:
         return 0
     g = instance.graph
-    n = g.n
-    preds = [0] * n
-    targets = 0
-    for u, v in pairs:
-        if 0 <= u < n and 0 <= v < n:
-            preds[v] |= 1 << u
-            targets |= 1 << v
+    preds, targets = _claim_masks({v: 1 << v for v in range(g.n)}, pairs)
     cliques = [c for _, part, _ in g.undirected_trees() for c in part]
     if g.nonchordal_vertices():
         raise ValueError("graph is not chordal")

@@ -372,11 +372,14 @@ class TestParser:
             (["gen", "--n", "10", "--k", "x"], "not an integer of at least 2: 'x'"),
             (["bench", "--n-list", "x"], "argument --n-list: invalid _int_list value: 'x'"),
             (["bench", "--k-list", "3,y"], "argument --k-list: invalid _int_list value: '3,y'"),
+            (["bench", "--reps", "0"], "argument --reps: not a positive integer: '0'"),
+            (["bench", "--reps", "-2"], "argument --reps: not a positive integer: '-2'"),
+            (["bench", "--table1", "--pairs", "0"], "argument --pairs: not a positive integer: '0'"),
         ],
     )
     def test_bad_numbers_are_usage_errors(self, tmp_path, capsys, argv, message):
         # exit 1 is kept for a mismatch, so a bad number must not end in a
-        # traceback
+        # traceback; a count of 0 reps or pairs wrote an empty CSV and exited 0
         with pytest.raises(SystemExit) as e:
             main([*argv, "--out", str(tmp_path / "out")])
         assert e.value.code == 2  # argparse's usage error
@@ -401,3 +404,10 @@ class TestParser:
         assert e.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_negative_oracle_cap_is_a_usage_error(self, tmp_path, capsys):
+        # it reached the oracle and exited 3, "capped at -1"
+        with pytest.raises(SystemExit) as e:
+            main(["oracle", str(tmp_path / "inst.json"), "--oracle-cap", "-1"])
+        assert e.value.code == 2
+        assert "argument --oracle-cap: not a nonnegative integer: '-1'" in capsys.readouterr().err

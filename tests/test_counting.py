@@ -24,7 +24,6 @@ from amocount.counting import (
     lbfs_background,
     phi,
     psi,
-    _Host,
     _group_table,
     _prefix_chains,
     _reroot,
@@ -33,6 +32,7 @@ from amocount.generators import GenConfig, gen_amo_claims, random_chordal
 from amocount.graphs import (
     RootedCliqueTree,
     UndirectedGraph,
+    _claim_masks,
     _iter_bits,
     _lbfs,
     _mask_components,
@@ -479,11 +479,11 @@ def check_sweeps(g, knowledge):
     the order is an LBFS ordering that starts with the seed's positions,
     lowest first, and the components split the vertices outside the seed
     into connected parts."""
-    nbr = _masks(g)[1]
+    bit, nbr = _masks(g)
     whole = (1 << g.n) - 1
-    host = _Host(g.vertices, nbr, knowledge.pairs)
+    claim_preds, _ = _claim_masks(bit, knowledge.pairs)
     for seed in [0] + _mcs_cliques(nbr, whole)[0]:
-        for preds in (host.preds, None):
+        for preds in (claim_preds, None):
             flag, comps, order = _lbfs(nbr, whole, seed, preds, True)
             assert sorted(order) == list(range(g.n))
             assert _is_lbfs_ordering(g, [g.vertices[v] for v in order]), (seed, order)
@@ -535,17 +535,17 @@ def table_matches_full_sweep(g, knowledge, rng):
     of two or more vertices, each handed down with a clique tree.  Returns
     the number of accepted picks that leave a subproblem of two or more
     vertices."""
-    nbr = _masks(g)[1]
-    host = _Host(g.vertices, nbr, knowledge.pairs)
+    bit, nbr = _masks(g)
+    preds, targets = _claim_masks(bit, knowledge.pairs)
     recursing = 0
-    for sub in _mask_components(nbr, host.full):
+    for sub in _mask_components(nbr, (1 << g.n) - 1):
         cliques, parents = _mcs_cliques(nbr, sub)
         cliques, parents = _reroot(cliques, parents, rng.randrange(len(cliques)))
-        sides, walked = _group_table(cliques, parents, host.preds, host.targets)
+        sides, walked = _group_table(cliques, parents, preds, targets)
         assert len(sides) == len(cliques)
         assert walked >= sum(map(len, sides))  # each link's pass reaches a clique
         for i, clique in enumerate(cliques):
-            flag, comps, _ = _lbfs(nbr, sub, clique, host.preds, True)
+            flag, comps, _ = _lbfs(nbr, sub, clique, preds, True)
             assert (None not in sides[i]) == flag, (sub, i)
             if flag:
                 expected = sorted(h for h in comps if h & (h - 1))
@@ -564,11 +564,11 @@ def recorded_recursion(monkeypatch):
     inner = CountingSession._count
     stack, calls = [None], []
 
-    def counted(self, host, sub, tree):
+    def counted(self, sub, tree):
         calls.append((stack[-1], sub))
         stack.append(sub)
         try:
-            return inner(self, host, sub, tree)
+            return inner(self, sub, tree)
         finally:
             stack.pop()
 
@@ -633,11 +633,11 @@ class TestCliqueWalk:
     def test_each_miss_recurses_into_its_accepted_picks_only(self, seed, monkeypatch):
         rng = random.Random(104_000 + seed)
         g = random_uccg(seed, 4, 14) if seed % 2 else sparse_chordal(rng, rng.randint(10, 40))
-        nbr = _masks(g)[1]
+        bit, nbr = _masks(g)
         for k in walk_claims(g, rng):
             calls = recorded_recursion(monkeypatch)
             count_session(uccg_instance(g, k))
-            preds = _Host(g.vertices, nbr, k.pairs).preds
+            preds, _ = _claim_masks(bit, k.pairs)
             children = {}
             for caller, sub in calls:
                 children.setdefault(caller, []).append(sub)
@@ -875,8 +875,9 @@ class TestMaskCliqueTree:
         g = random_uccg(3, 12, 14)
         k = random_claims(g, random.Random(3), "oriented")
         expected = count_uccg(g, k)
-        session = CountingSession(k)
-        host = _Host(g.vertices, _masks(g)[1], session.pairs)
+        bit, nbr = _masks(g)
+        session = CountingSession(*_claim_masks(bit, k.pairs))
+        full = (1 << g.n) - 1
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the counting path built a graph or ran an LBFS sweep")
@@ -887,8 +888,8 @@ class TestMaskCliqueTree:
         monkeypatch.setattr(counting_module, "clique_tree", forbidden)
         monkeypatch.setattr(counting_module, "_lbfs", forbidden)
         monkeypatch.setattr(graphs_module, "_lbfs", forbidden)
-        tree = _mcs_cliques(host.nbr, host.full)
-        assert session._count(host, host.full, tree) == expected
+        tree = _mcs_cliques(nbr, full)
+        assert session._count(full, tree) == expected
         assert session.clique_picks > 1
 
     def test_ingest_and_count_build_no_graph(self, monkeypatch):
@@ -1038,7 +1039,7 @@ class TestCountSession:
         p4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
         for cap in (-1, -2):
             with pytest.raises(ValueError, match="nonnegative"):
-                CountingSession(BackgroundKnowledge.empty(), psi_cap=cap)
+                CountingSession([], 0, psi_cap=cap)
             with pytest.raises(ValueError, match="nonnegative"):
                 count_session(uccg_instance(p4), psi_cap=cap)
             with pytest.raises(ValueError, match="nonnegative"):

@@ -6,7 +6,13 @@ import pytest
 
 from amocount.counting import count_session
 from amocount.generators import GenConfig, random_chordal
-from amocount.graphs import UndirectedGraph, _mask_components, _mcs_cliques
+from amocount.graphs import (
+    UndirectedGraph,
+    _claim_masks,
+    _mask_components,
+    _masks,
+    _mcs_cliques,
+)
 from amocount.mec import (
     BackgroundKnowledge,
     InvalidInstanceError,
@@ -63,6 +69,22 @@ class TestBackgroundKnowledge:
         # contradictory claims are representable; counting yields zero later
         k = BackgroundKnowledge([(0, 1), (1, 0)])
         assert len(k) == 2
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(0.9, 2.5), (0, 2.0), ("3", "4"), (1, "2"), (None, 1)],
+        ids=["floats", "integral-float", "strings", "one-string", "none"],
+    )
+    def test_rejects_non_integer_endpoints(self, pair):
+        # int() would have turned (0.9, 2.5) into the claim 0->2
+        with pytest.raises(ValueError, match="needs integer endpoints"):
+            BackgroundKnowledge([(0, 1), pair])
+
+    def test_accepts_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        k = BackgroundKnowledge([(np.int64(3), np.int64(4)), (np.int32(0), 1)])
+        assert k == BackgroundKnowledge([(3, 4), (0, 1)])
+        assert all(type(x) is int for pair in k for x in pair)
 
 
 class TestPartiallyDirectedGraph:
@@ -413,6 +435,12 @@ class TestMaxCliqueKnowledge:
     def test_empty_knowledge_is_zero(self):
         assert max_clique_knowledge(MecInstance(SEVEN, BackgroundKnowledge.empty())) == 0
 
+    def test_claims_with_an_end_outside_the_graph_are_ignored(self):
+        for bad in [(0, 7), (7, 0), (-1, 2), (2, -1), (9, 12)]:
+            k = BackgroundKnowledge([(2, 4), (3, 5), bad])
+            assert max_clique_knowledge(MecInstance(SEVEN, k)) == 4, bad
+            assert max_clique_knowledge(MecInstance(SEVEN, BackgroundKnowledge([bad]))) == 0
+
     def test_coverage_accumulates_per_clique(self):
         # (2,4) and (3,5) both sit inside the middle clique {2,3,4,5}
         k = BackgroundKnowledge([(2, 4), (3, 5)])
@@ -420,6 +448,36 @@ class TestMaxCliqueKnowledge:
         # (2,3) and (4,6) never share a maximal clique
         k = BackgroundKnowledge([(2, 3), (4, 6)])
         assert max_clique_knowledge(MecInstance(SEVEN, k)) == 2
+
+
+def reference_claim_masks(labels, pairs):
+    """``_claim_masks`` by sets: the positions of each vertex's claim
+    sources, and of every claim target, over the sorted ``labels``."""
+    pos = {v: i for i, v in enumerate(sorted(labels))}
+    kept = [(pos[u], pos[v]) for u, v in pairs if u in pos and v in pos]
+    preds = [sum(1 << a for a, b in kept if b == i) for i in range(len(pos))]
+    return preds, sum(1 << b for b in {b for _, b in kept})
+
+
+class TestClaimMasks:
+    """The one builder of the engine's claim form, against sets."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_sets_on_sparse_and_negative_labels(self, seed):
+        rng = random.Random(7_700 + seed)
+        labels = rng.sample(range(-40, 60), rng.randint(1, 14))
+        g = UndirectedGraph.from_vertices(labels)
+        # ends drawn a little wider than the labels, so some fall outside
+        ends = labels + rng.sample(range(-60, 80), 6)
+        pairs = [tuple(rng.sample(ends, 2)) for _ in range(rng.randint(0, 20))]
+        knowledge = BackgroundKnowledge((u, v) for u, v in pairs if u != v)
+        bit, _ = _masks(g)
+        assert _claim_masks(bit, knowledge.pairs) == reference_claim_masks(labels, knowledge.pairs)
+
+    def test_drops_claims_with_an_end_outside(self):
+        bit = {-5: 1, 3: 2, 10: 4}
+        assert _claim_masks(bit, [(-5, 10), (10, 3), (3, 4), (7, -5)]) == ([0, 4, 1], 6)
+        assert _claim_masks(bit, []) == ([0, 0, 0], 0)
 
 
 def count(graph, claims):
