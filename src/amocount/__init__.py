@@ -11,8 +11,6 @@ from .counting import (
     SessionStats,
     count_session,
     count_uccg,
-    forbidden_prefixes,
-    lbfs_background,
     phi,
     psi,
 )
@@ -28,7 +26,6 @@ from .graphs import (
     RootedCliqueTree,
     UndirectedGraph,
     clique_tree,
-    connected_components,
     is_chordal,
     lbfs_order,
     maximal_cliques,
@@ -72,16 +69,13 @@ __all__ = [
     "amos_represented_by",
     "chordal_components",
     "clique_tree",
-    "connected_components",
     "count_session",
     "count_uccg",
     "enumerate_amos",
-    "forbidden_prefixes",
     "gen_amo_claims",
     "gen_background",
     "grow_background",
     "is_chordal",
-    "lbfs_background",
     "lbfs_order",
     "max_clique_knowledge",
     "maximal_cliques",

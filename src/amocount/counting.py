@@ -29,9 +29,8 @@ from .graphs import (
     UndirectedGraph,
     _claim_endpoints,
     _claim_masks,
-    _is_maximal_clique,
     _iter_bits,
-    _lbfs,
+    _lbfs,  # unused here: perfbench/tracer.py hooks this module's name
     _mask_components,
     _masks,
     _mcs_cliques,
@@ -69,12 +68,6 @@ class DownSetBudgetError(RuntimeError):
         )
         self.size = size
         self.budget = budget
-
-
-@dataclass(frozen=True)
-class LbfsResult:
-    flag: bool
-    components: tuple
 
 
 class PrefixChain:
@@ -380,77 +373,11 @@ def phi(vertex_set, chain, knowledge, *, psi_cap: int = DEFAULT_PERMUTATION_CAP)
     return _phi_with_ctx(ctx, (1 << len(s)) - 1, chain_masks)
 
 
-def lbfs_background(g: UndirectedGraph, clique, knowledge) -> LbfsResult:
-    """Knowledge-aware LBFS seeded with a maximal clique.
-
-    Returns the consistency flag (False when orienting the graph away from
-    ``clique`` would reverse some claim) and the subproblem components left
-    behind by the sweep.  It is the reference for ``_group_table``'s flags
-    and is not on the count path.
-    """
-    c = frozenset(clique)
-    if not _is_maximal_clique(g, c):
-        raise ValueError(f"{sorted(c)} is not a maximal clique of the graph")
-    pairs = _pairs_of(knowledge)
-    for u, v in pairs:
-        if u not in g.vertex_set or v not in g.vertex_set or not g.has_edge(u, v):
-            raise ValueError(f"claim {u}->{v} is not an edge of the graph")
-    bit, nbr = _masks(g)
-    preds, _ = _claim_masks(bit, pairs)
-    flag, comps, _ = _lbfs(nbr, (1 << g.n) - 1, sum(map(bit.__getitem__, c)), preds, True)
-    vs = g.vertices
-    return LbfsResult(bool(flag), tuple(frozenset(vs[i] for i in _iter_bits(h)) for h in comps))
-
-
-def forbidden_prefixes(tree, clique) -> PrefixChain:
-    """Separators along the root path that sit inside ``clique``.
-
-    The distinct qualifying separators always form one strictly nested
-    chain; anything else signals a broken clique tree.
-    """
-    i = tree.node_index(clique)
-    cset = frozenset(tree.nodes[i])
-    path = tree.path_from_root(i)
-    found = set()
-    for a, b in zip(path, path[1:]):
-        sep = frozenset(tree.nodes[a]) & frozenset(tree.nodes[b])
-        if sep <= cset:
-            found.add(sep)
-    ordered = sorted(found, key=len)
-    for x, y in zip(ordered, ordered[1:]):
-        if not x < y:
-            raise RuntimeError(
-                "forbidden prefixes are not nested; the clique tree violates"
-                " the intersection property"
-            )
-    if ordered and not ordered[-1] < cset:
-        raise RuntimeError("forbidden prefix equals its clique")
-    return PrefixChain(ordered)
-
-
-def _reroot(cliques: list, parents: list, root: int) -> tuple[list, list]:
-    """The clique tree re-rooted at clique ``root``, as new lists.
-
-    ``parents`` lists each clique's parent (None at the root), parents before
-    their children.  The links on the path from ``root`` to the old root are
-    reversed, and the cliques are renumbered so that parents again come
-    first: that path, then the other cliques in their old order.
-    """
-    path = [root]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    on_path = set(path)
-    order = path + [i for i in range(len(parents)) if i not in on_path]
-    new = {old: i for i, old in enumerate(order)}
-    ups = [None, *range(len(path) - 1)] + [new[parents[i]] for i in order[len(path):]]
-    return [cliques[i] for i in order], ups
-
-
 def _prefix_chains(cliques: list, parents: list) -> list:
     """Every clique's forbidden-prefix chain, as masks, in one top-down pass.
 
-    Mask form of ``forbidden_prefixes``: a clique's chain is its parent's
-    chain cut to the separators that lie inside the clique, then the
+    Mask form of ``oracle.forbidden_prefixes``: a clique's chain is its
+    parent's chain cut to the separators that lie inside the clique, then the
     separator to the parent, which holds all of them (the running
     intersection property).  Parents come before their children.
     """
@@ -696,18 +623,8 @@ class CountingSession:
         )
 
 
-def count_uccg(
-    g: UndirectedGraph,
-    knowledge,
-    *,
-    psi_cap: int | None = None,
-    root=None,
-) -> int:
-    """Count the acyclic moral orientations of a connected chordal graph.
-
-    ``root`` forces the root of the top-level clique tree; the result does
-    not depend on it.
-    """
+def count_uccg(g: UndirectedGraph, knowledge, *, psi_cap: int | None = None) -> int:
+    """Count the acyclic moral orientations of a connected chordal graph."""
     pairs = _pairs_of(knowledge)
     for u, v in pairs:
         if u not in g.vertex_set or v not in g.vertex_set or not g.has_edge(u, v):
@@ -721,13 +638,6 @@ def count_uccg(
         raise ValueError("clique tree requires a connected graph")
     if search.nonchordal:
         raise ValueError("graph is not chordal")
-    if root is not None:
-        key = tuple(sorted(root))
-        root = sum(map(bit.__getitem__, key)) if g.vertex_set.issuperset(key) else 0
-        # A repeated label would carry into another bit, so count the bits.
-        if root.bit_count() != len(key) or root not in cliques:
-            raise ValueError(f"{key} is not a maximal clique of the graph")
-        cliques, parents = _reroot(cliques, parents, cliques.index(root))
     session = CountingSession(*_claim_masks(bit, pairs), psi_cap=psi_cap)
     return session._count((1 << g.n) - 1, (cliques, parents))
 

@@ -57,9 +57,6 @@ class UndirectedGraph:
     def neighbors(self, v) -> frozenset:
         return self._adj[v]
 
-    def degree(self, v) -> int:
-        return len(self._adj[v])
-
     def has_edge(self, u, v) -> bool:
         if u not in self._adj:
             raise KeyError(f"unknown vertex {u}")
@@ -98,15 +95,6 @@ class UndirectedGraph:
 
     def __repr__(self):
         return f"UndirectedGraph(n={self.n}, m={self.num_edges})"
-
-
-def connected_components(g: UndirectedGraph) -> list[frozenset]:
-    """Components as vertex sets, ordered by their smallest vertex."""
-    _, nbr = _masks(g)
-    vs = g.vertices
-    return [
-        frozenset(vs[i] for i in _iter_bits(c)) for c in _mask_components(nbr, (1 << g.n) - 1)
-    ]
 
 
 def _iter_bits(mask: int):
@@ -376,18 +364,6 @@ def maximal_cliques(g: UndirectedGraph) -> list[tuple[int, ...]]:
     return sorted(tuple(vs[i] for i in _iter_bits(c)) for c in cliques)
 
 
-def _is_maximal_clique(g: UndirectedGraph, members: frozenset) -> bool:
-    if not members or not members <= g.vertex_set:
-        return False
-    for v in members:
-        if not members - {v} <= g.neighbors(v):
-            return False
-    common = None
-    for v in members:
-        common = g.neighbors(v) if common is None else common & g.neighbors(v)
-    return not (common - members)
-
-
 @dataclass
 class RootedCliqueTree:
     """Clique tree with a fixed root; ``parent[root]`` is None."""
@@ -402,34 +378,19 @@ class RootedCliqueTree:
             if p is not None:
                 kids[p].append(i)
         self._children = tuple(tuple(sorted(k)) for k in kids)
-        self._index = {node: i for i, node in enumerate(self.nodes)}
 
     def children(self, i: int) -> tuple[int, ...]:
         return self._children[i]
 
-    def node_index(self, clique) -> int:
-        key = tuple(sorted(clique))
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError(f"{key} is not a node of the clique tree") from None
 
-    def path_from_root(self, i: int) -> list[int]:
-        path = [i]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])
-        path.reverse()
-        return path
-
-
-def clique_tree(g: UndirectedGraph, root_clique=None) -> RootedCliqueTree:
+def clique_tree(g: UndirectedGraph) -> RootedCliqueTree:
     """Rooted clique tree of a connected chordal graph.
 
     The tree is a maximum-weight spanning tree of the clique intersection
     graph, with ties broken toward the lexicographically smallest clique
-    pair.  Unless ``root_clique`` forces a choice, the root is the maximal
-    clique containing the lowest vertex (again the lexicographically
-    smallest such clique on ties), making the construction deterministic.
+    pair.  The root is the maximal clique containing the lowest vertex
+    (again the lexicographically smallest such clique on ties), making the
+    construction deterministic.
     """
     if g.n == 0:
         raise ValueError("graph is empty")
@@ -469,14 +430,8 @@ def clique_tree(g: UndirectedGraph, root_clique=None) -> RootedCliqueTree:
         if added != m - 1:
             raise RuntimeError("clique intersection graph did not span a tree")
 
-    if root_clique is not None:
-        key = tuple(sorted(root_clique))
-        if key not in [tuple(c) for c in cliques]:
-            raise ValueError(f"{key} is not a maximal clique of the graph")
-        root = cliques.index(key)
-    else:
-        low = g.vertices[0]
-        root = next(i for i in range(m) if low in csets[i])
+    low = g.vertices[0]
+    root = next(i for i in range(m) if low in csets[i])
 
     parent: list = [None] * m
     seen = {root}

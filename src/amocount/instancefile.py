@@ -29,9 +29,6 @@ class InstanceDocument:
     instance: MecInstance
     metadata: dict = field(default_factory=dict)
 
-    def label_of(self, v: int) -> str:
-        return self.labels[v]
-
 
 def _expect(cond, msg):
     if not cond:

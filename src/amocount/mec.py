@@ -17,8 +17,8 @@ from .graphs import (
     _claim_endpoints,
     _claim_masks,
     _iter_bits,
+    _mask_components,
     _mcs_cliques,
-    connected_components,
 )
 
 
@@ -97,12 +97,17 @@ class PartiallyDirectedGraph:
             raise ValueError("vertex count must be nonnegative")
         bit = [1 << v for v in range(n)]
         masks = [0] * n
-        for u, v in undirected:
-            if 0 <= u < v < n or 0 <= v < u < n:
-                masks[u] |= bit[v]
-                masks[v] |= bit[u]
-            else:
-                _raise_bad_edge(n, u, v)
+        u = v = 0  # bound for the except clause if the first row is not a pair
+        try:
+            for u, v in undirected:
+                if 0 <= u < v < n or 0 <= v < u < n:
+                    masks[u] |= bit[v]
+                    masks[v] |= bit[u]
+                else:
+                    _raise_bad_edge(n, u, v)
+        except TypeError:
+            _raise_non_integer_edge(u, v)
+            raise
         self._set_parts(masks, directed)
 
     @classmethod
@@ -120,15 +125,20 @@ class PartiallyDirectedGraph:
         undirected part's neighbour masks, then store both parts."""
         n = len(masks)
         dire = set()
-        for u, v in directed:
-            if not (0 <= u < v < n or 0 <= v < u < n):
-                _raise_bad_edge(n, u, v)
-            if (v, u) in dire:
-                raise ValueError(f"edge {u},{v} directed both ways")
-            dire.add((u, v))
-        for u, v in dire:
-            if masks[u] >> v & 1:
-                raise ValueError(f"edge {u},{v} is both directed and undirected")
+        u = v = 0  # bound for the except clause if the first row is not a pair
+        try:
+            for u, v in directed:
+                if not (0 <= u < v < n or 0 <= v < u < n):
+                    _raise_bad_edge(n, u, v)
+                if (v, u) in dire:
+                    raise ValueError(f"edge {u},{v} directed both ways")
+                dire.add((u, v))
+            for u, v in dire:
+                if masks[u] >> v & 1:
+                    raise ValueError(f"edge {u},{v} is both directed and undirected")
+        except TypeError:
+            _raise_non_integer_edge(u, v)
+            raise
         self.n = n
         self.directed = frozenset(dire)
         self._masks = tuple(masks)
@@ -214,7 +224,8 @@ class PartiallyDirectedGraph:
 
     def __repr__(self):
         return (
-            f"PartiallyDirectedGraph(n={self.n}, undirected={len(self.undirected)},"
+            f"PartiallyDirectedGraph(n={self.n},"
+            f" undirected={sum(m.bit_count() for m in self._masks) // 2},"
             f" directed={len(self.directed)})"
         )
 
@@ -223,6 +234,15 @@ def _raise_bad_edge(n, u, v):
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
     raise ValueError(f"self-loop at vertex {u}")
+
+
+def _raise_non_integer_edge(u, v):
+    """Name the edge u-v when an endpoint is not an integer; called only
+    after an edge loop raised ``TypeError``, so valid input pays nothing."""
+    try:
+        operator.index(u), operator.index(v)
+    except TypeError:
+        raise ValueError(f"edge ({u!r}, {v!r}) needs integer endpoints") from None
 
 
 @dataclass(frozen=True)
@@ -244,7 +264,10 @@ def chordal_components(graph: PartiallyDirectedGraph) -> list[UndirectedGraph]:
     vertex set.
     """
     und = graph.undirected_part()
-    return [und.induced(c) for c in connected_components(und)]
+    return [
+        und.induced(_iter_bits(c))
+        for c in _mask_components(graph.undirected_masks(), (1 << graph.n) - 1)
+    ]
 
 
 def validate(instance: MecInstance) -> list[str]:

@@ -1,15 +1,25 @@
-"""Brute-force ground truth for desk-scale instances.
+"""Brute-force ground truth and set-based references for desk-scale
+instances.
 
-Everything here enumerates explicitly and is meant for cross-checking the
-engine on small inputs, never for production counting.
+Everything here enumerates explicitly or works on vertex sets, and is meant
+for cross-checking the engine's mask code on small inputs, never for
+production counting.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .counting import _pairs_of
-from .graphs import UndirectedGraph, _is_maximal_clique
+from .counting import PrefixChain, _pairs_of
+from .graphs import (
+    UndirectedGraph,
+    _claim_masks,
+    _iter_bits,
+    _lbfs,
+    _mask_components,
+    _masks,
+)
 from .mec import PartiallyDirectedGraph, _is_acyclic
 
 DEFAULT_ORACLE_CAP = 9
@@ -257,3 +267,101 @@ def phi_bruteforce(vertex_set, chain, knowledge) -> int:
             continue
         count += 1
     return count
+
+
+def connected_components(g: UndirectedGraph) -> list[frozenset]:
+    """Components as vertex sets, ordered by their smallest vertex."""
+    _, nbr = _masks(g)
+    vs = g.vertices
+    return [
+        frozenset(vs[i] for i in _iter_bits(c)) for c in _mask_components(nbr, (1 << g.n) - 1)
+    ]
+
+
+def _is_maximal_clique(g: UndirectedGraph, members: frozenset) -> bool:
+    if not members or not members <= g.vertex_set:
+        return False
+    for v in members:
+        if not members - {v} <= g.neighbors(v):
+            return False
+    common = None
+    for v in members:
+        common = g.neighbors(v) if common is None else common & g.neighbors(v)
+    return not (common - members)
+
+
+@dataclass(frozen=True)
+class LbfsResult:
+    flag: bool
+    components: tuple
+
+
+def lbfs_background(g: UndirectedGraph, clique, knowledge) -> LbfsResult:
+    """Knowledge-aware LBFS seeded with a maximal clique.
+
+    Returns the consistency flag (False when orienting the graph away from
+    ``clique`` would reverse some claim) and the subproblem components left
+    behind by the sweep.  It is the reference for ``_group_table``'s flags.
+    """
+    c = frozenset(clique)
+    if not _is_maximal_clique(g, c):
+        raise ValueError(f"{sorted(c)} is not a maximal clique of the graph")
+    pairs = _pairs_of(knowledge)
+    for u, v in pairs:
+        if u not in g.vertex_set or v not in g.vertex_set or not g.has_edge(u, v):
+            raise ValueError(f"claim {u}->{v} is not an edge of the graph")
+    bit, nbr = _masks(g)
+    preds, _ = _claim_masks(bit, pairs)
+    flag, comps, _ = _lbfs(nbr, (1 << g.n) - 1, sum(map(bit.__getitem__, c)), preds, True)
+    vs = g.vertices
+    return LbfsResult(bool(flag), tuple(frozenset(vs[i] for i in _iter_bits(h)) for h in comps))
+
+
+def forbidden_prefixes(tree, clique) -> PrefixChain:
+    """Separators along the root path of ``clique``, a node of the rooted
+    clique ``tree``, that sit inside it; the reference for
+    ``counting._prefix_chains``.
+
+    The distinct qualifying separators always form one strictly nested
+    chain; anything else signals a broken clique tree.
+    """
+    key = tuple(sorted(clique))
+    if key not in tree.nodes:
+        raise ValueError(f"{key} is not a node of the clique tree")
+    i = tree.nodes.index(key)
+    cset = frozenset(key)
+    found = set()
+    while tree.parent[i] is not None:
+        p = tree.parent[i]
+        sep = frozenset(tree.nodes[i]) & frozenset(tree.nodes[p])
+        if sep <= cset:
+            found.add(sep)
+        i = p
+    ordered = sorted(found, key=len)
+    for x, y in zip(ordered, ordered[1:]):
+        if not x < y:
+            raise RuntimeError(
+                "forbidden prefixes are not nested; the clique tree violates"
+                " the intersection property"
+            )
+    if ordered and not ordered[-1] < cset:
+        raise RuntimeError("forbidden prefix equals its clique")
+    return PrefixChain(ordered)
+
+
+def _reroot(cliques: list, parents: list, root: int) -> tuple[list, list]:
+    """The clique tree re-rooted at clique ``root``, as new lists.
+
+    ``parents`` lists each clique's parent (None at the root), parents before
+    their children.  The links on the path from ``root`` to the old root are
+    reversed, and the cliques are renumbered so that parents again come
+    first: that path, then the other cliques in their old order.
+    """
+    path = [root]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    on_path = set(path)
+    order = path + [i for i in range(len(parents)) if i not in on_path]
+    new = {old: i for i, old in enumerate(order)}
+    ups = [None, *range(len(path) - 1)] + [new[parents[i]] for i in order[len(path):]]
+    return [cliques[i] for i in order], ups

@@ -13,6 +13,7 @@ import pytest
 import amocount.counting as counting_module
 import amocount.graphs as graphs_module
 import amocount.mec as mec_module
+import amocount.oracle as oracle_module
 from amocount.counting import (
     DEFAULT_PERMUTATION_CAP,
     CountingSession,
@@ -20,13 +21,10 @@ from amocount.counting import (
     PrefixChain,
     count_session,
     count_uccg,
-    forbidden_prefixes,
-    lbfs_background,
     phi,
     psi,
     _group_table,
     _prefix_chains,
-    _reroot,
 )
 from amocount.generators import GenConfig, gen_amo_claims, random_chordal
 from amocount.graphs import (
@@ -56,8 +54,11 @@ from amocount.mec import (
 )
 from amocount.oracle import (
     _is_lbfs_ordering,
+    _reroot,
     amos_represented_by,
     enumerate_amos,
+    forbidden_prefixes,
+    lbfs_background,
     phi_bruteforce,
     psi_bruteforce,
     union_graph,
@@ -801,7 +802,8 @@ class TestForbiddenPrefixes:
     def test_separator_not_inside_clique_is_skipped(self):
         # star of cliques: separators with the root are not inside the leaves
         g = UndirectedGraph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-        t = clique_tree(g, root_clique=(0, 1, 2))
+        t = clique_tree(g)
+        assert t.nodes[t.root] == (0, 1, 2)
         assert forbidden_prefixes(t, (2, 3, 4)) == PrefixChain([{2}])
         assert forbidden_prefixes(t, (0, 1, 2)) == PrefixChain()
 
@@ -917,10 +919,6 @@ class TestMaskCliqueTree:
         assert counts == expected
 
 
-# Added up bit by bit, (3, 3, 5, 6) would give the mask of the clique (4, 5, 6).
-BAD_ROOTS = [(2, 3), (0, 6), (0, 1, 2, 3, 4), (7,), (), (3, 3, 5, 6)]
-
-
 class TestCountUccg:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_complete_graph_law(self, n):
@@ -951,29 +949,26 @@ class TestCountUccg:
         with pytest.raises(ValueError):
             count_uccg(UndirectedGraph(4, [(0, 1), (2, 3)]), BackgroundKnowledge.empty())
 
-    @pytest.mark.parametrize("root", BAD_ROOTS)
-    def test_rejects_a_root_that_is_not_a_maximal_clique(self, root):
-        with pytest.raises(ValueError):
-            count_uccg(SEVEN, BackgroundKnowledge.empty(), root=root)
-
     def test_input_checks_build_no_clique_tree(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("count_uccg built a clique tree or a set-based split")
 
         monkeypatch.setattr(counting_module, "clique_tree", forbidden)
         monkeypatch.setattr(graphs_module, "clique_tree", forbidden)
-        monkeypatch.setattr(graphs_module, "connected_components", forbidden)
+        monkeypatch.setattr(oracle_module, "connected_components", forbidden)
         assert count_uccg(SEVEN, BackgroundKnowledge.empty()) == 104
         c4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        cases = [(c4, None), (UndirectedGraph(4, [(0, 1), (2, 3)]), None)]
-        cases += [(SEVEN, root) for root in BAD_ROOTS]
-        for g, root in cases:
+        for g in (c4, UndirectedGraph(4, [(0, 1), (2, 3)])):
             with pytest.raises(ValueError):
-                count_uccg(g, BackgroundKnowledge.empty(), root=root)
+                count_uccg(g, BackgroundKnowledge.empty())
 
     def test_root_choice_does_not_matter(self):
-        for c in maximal_cliques(SEVEN):
-            assert count_uccg(SEVEN, BackgroundKnowledge([(2, 5)]), root=c) == 64
+        bit, nbr = _masks(SEVEN)
+        full = (1 << SEVEN.n) - 1
+        cliques, parents = _mcs_cliques(nbr, full)
+        for i in range(len(cliques)):
+            session = CountingSession(*_claim_masks(bit, [(2, 5)]))
+            assert session._count(full, _reroot(cliques, parents, i)) == 64
 
     @pytest.mark.parametrize("seed", range(20))
     def test_labels_need_not_be_dense(self, seed):

@@ -1,9 +1,11 @@
 """Seeded instance generation: chordal draws, knowledge top-up, growth."""
 
+import hashlib
 import random
 
 import pytest
 
+from amocount.bench import make_instance
 from amocount.counting import count_session, psi
 from amocount.generators import (
     GenConfig,
@@ -14,8 +16,10 @@ from amocount.generators import (
     random_chordal,
     random_chordal_with_stats,
 )
-from amocount.graphs import connected_components, is_chordal, maximal_cliques
+from amocount.graphs import is_chordal, maximal_cliques
+from amocount.instancefile import InstanceDocument, default_labels, serialize_instance
 from amocount.mec import BackgroundKnowledge, MecInstance, max_clique_knowledge
+from amocount.oracle import connected_components
 from conftest import uccg_instance
 
 
@@ -193,3 +197,35 @@ class TestGrowBackground:
         g = random_chordal(GenConfig(n=3, p_range=(0.9, 0.95), seed=1))
         with pytest.raises(ValueError):
             grow_background(g, BackgroundKnowledge([(0, 1), (1, 2), (2, 0)]), 0)
+
+
+class TestPinnedBytes:
+    """Generated instances stay byte for byte what they were: the benchmark
+    tables and any instance file written by ``amocount gen`` depend on it."""
+
+    @pytest.mark.parametrize(
+        "n,k,seed,claims,digest",
+        [
+            (60, 4, 1, 27, "aad72bd6e4264321b4a2b22c92fc6d752cd5eea06d668379f00872dac1b1d195"),
+            (60, 4, 2, 14, "5ec2f910df7beb595591295b99f568813af7c1c11f6e1139768f41a183942e37"),
+            (40, 3, 5, 9, "f88a537c71765a86fc6e2635de285f67d948c23ee0c9d37fdf5fced3b6e714fa"),
+            (30, None, 3, 0, "3d30623700518a22e5c2d106d8f562cbc8b366b7d6bb13f5fb6dba38fd90fc2d"),
+        ],
+    )
+    def test_bench_instances(self, n, k, seed, claims, digest):
+        instance, _, _ = make_instance(n, k, seed)
+        assert len(instance.knowledge) == claims
+        text = serialize_instance(InstanceDocument(default_labels(n), instance))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "n,seed,count,claim_seed,digest",
+        [
+            (40, 7, 8, 3, "b665b617e651be09f202a9c0ac1771a80f73dc4d2c225e4b56563340bcc38af5"),
+            (25, 11, 30, 4, "6d92cd66009e7b0f48236d80cb7c45f6a83b356d10c8f97a05d3c069328dac84"),
+        ],
+    )
+    def test_amo_claims(self, n, seed, count, claim_seed, digest):
+        claims = gen_amo_claims(random_chordal(GenConfig(n=n, seed=seed)), count, claim_seed)
+        assert len(claims) == count
+        assert hashlib.sha256(repr(sorted(claims)).encode()).hexdigest() == digest

@@ -45,7 +45,7 @@ class TestParse:
         assert g.directed == frozenset({(0, 3)})
         assert doc.instance.knowledge == BackgroundKnowledge([(1, 0)])
         assert doc.metadata == {"seed": 7}
-        assert doc.label_of(3) == "d"
+        assert doc.labels[3] == "d"
 
     def test_labels_are_sorted_for_ids(self):
         doc = parse_instance_text(text(vertices=["d", "c", "b", "a"]))

@@ -138,12 +138,52 @@ class TestPartiallyDirectedGraph:
             ([(0, 1), (0, 0)], [(5, 1)], "self-loop at vertex 0"),
             ([(0, 1)], [(0, 1), (2, 1), (1, 2)], "edge 1,2 directed both ways"),
             ([(0, 1)], [(0, 1), (2, 2)], "self-loop at vertex 2"),
+            # an endpoint that is not an integer is named with its edge
+            ([(0.0, 1)], [], "edge (0.0, 1) needs integer endpoints"),
+            ([(0, 1), (1, 2.5)], [], "edge (1, 2.5) needs integer endpoints"),
+            ([("0", 1)], [], "edge ('0', 1) needs integer endpoints"),
+            ([(0, 1)], [(1.0, 2)], "edge (1.0, 2) needs integer endpoints"),
+            ([], [(2, "1")], "edge (2, '1') needs integer endpoints"),
+            ([], [(None, 1)], "edge (None, 1) needs integer endpoints"),
         ],
     )
     def test_error_messages(self, und, dire, message):
         with pytest.raises(ValueError) as e:
             PartiallyDirectedGraph(3, und, dire)
         assert str(e.value) == message
+
+    def test_a_row_that_is_not_a_pair_keeps_its_type_error(self):
+        for und, dire in (([5], []), ([(0, 1)], [7])):
+            with pytest.raises(TypeError, match="cannot unpack"):
+                PartiallyDirectedGraph(3, und, dire)
+
+    def test_accepts_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        g = PartiallyDirectedGraph(
+            3, [(np.int64(0), np.int64(1))], [(np.int32(2), 1), (np.int64(2), np.int8(0))]
+        )
+        assert g == PartiallyDirectedGraph(3, [(0, 1)], [(2, 1), (2, 0)])
+
+    def test_repr_counts_edges_off_the_masks(self, monkeypatch):
+        graphs = [
+            TWO_COMPONENT,
+            SEVEN,
+            PartiallyDirectedGraph(0),
+            PartiallyDirectedGraph(3, [], [(0, 2)]),
+        ]
+        expected = [
+            "PartiallyDirectedGraph(n=6, undirected=4, directed=3)",
+            "PartiallyDirectedGraph(n=7, undirected=13, directed=0)",
+            "PartiallyDirectedGraph(n=0, undirected=0, directed=0)",
+            "PartiallyDirectedGraph(n=3, undirected=0, directed=1)",
+        ]
+        assert [repr(g) for g in graphs] == expected
+
+        def forbidden(self):
+            raise AssertionError("repr built the undirected pair set")
+
+        monkeypatch.setattr(PartiallyDirectedGraph, "undirected", property(forbidden))
+        assert [repr(g) for g in graphs] == expected
 
     def test_negative_vertex_count(self):
         with pytest.raises(ValueError) as e:
