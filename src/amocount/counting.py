@@ -32,8 +32,6 @@ from .graphs import (
     _iter_bits,
     _lbfs,  # unused here: perfbench/tracer.py hooks this module's name
     _mask_components,
-    _masks,
-    _mcs_cliques,
     clique_tree,  # unused here: perfbench/tracer.py hooks this module's name
 )
 from .mec import BackgroundKnowledge, InvalidInstanceError, MecInstance, validate
@@ -627,18 +625,16 @@ def count_uccg(g: UndirectedGraph, knowledge, *, psi_cap: int | None = None) -> 
     """Count the acyclic moral orientations of a connected chordal graph."""
     pairs = _pairs_of(knowledge)
     for u, v in pairs:
-        if u not in g.vertex_set or v not in g.vertex_set or not g.has_edge(u, v):
+        if u not in g.bit or not g.has_edge(u, v):
             raise ValueError(f"claim {u}->{v} is not an edge of the graph")
     if g.n == 0:
         raise ValueError("graph is empty")
-    bit, nbr = _masks(g)
-    search = _mcs_cliques(nbr, (1 << g.n) - 1)
-    cliques, parents = search
+    cliques, parents, nonchordal = g._mcs()
     if parents.count(None) != 1:  # each component starts with a parentless clique
         raise ValueError("clique tree requires a connected graph")
-    if search.nonchordal:
+    if nonchordal:
         raise ValueError("graph is not chordal")
-    session = CountingSession(*_claim_masks(bit, pairs), psi_cap=psi_cap)
+    session = CountingSession(*_claim_masks(g.bit, pairs), psi_cap=psi_cap)
     return session._count((1 << g.n) - 1, (cliques, parents))
 
 

@@ -17,7 +17,6 @@ from .graphs import (
     _iter_bits,
     _lbfs,
     _mask_components,
-    _masks,
     clique_tree,
     maximal_cliques,
 )
@@ -75,10 +74,7 @@ def random_chordal_with_stats(cfg: GenConfig) -> tuple:
                 adj[u] |= lower & ~(1 << u)
         if len(_mask_components(adj, (1 << n) - 1)) != 1:
             continue
-        edges = [
-            (i, j) for i in range(n) for j in _iter_bits(adj[i] >> (i + 1) << (i + 1))
-        ]
-        return UndirectedGraph(n, edges), {"p": p, "attempts": attempt}
+        return UndirectedGraph._from_masks(tuple(range(n)), adj), {"p": p, "attempts": attempt}
     raise GenerationError(
         f"no connected chordal graph with n={n} after {MAX_ATTEMPTS} attempts"
     )
@@ -202,9 +198,8 @@ def gen_amo_claims(g: UndirectedGraph, count: int, seed: int) -> BackgroundKnowl
     edges = g.edges()
     if not count or not edges:
         return BackgroundKnowledge.empty()
-    bit, nbr = _masks(g)
     start = rng.choice(maximal_cliques(g))
-    _, _, order = _lbfs(nbr, (1 << g.n) - 1, sum(map(bit.__getitem__, start)), None, False)
+    _, _, order = _lbfs(g.nbr, (1 << g.n) - 1, sum(map(g.bit.__getitem__, start)), None, False)
     pos = {g.vertices[p]: i for i, p in enumerate(order)}
     arcs = [(u, v) if pos[u] < pos[v] else (v, u) for u, v in edges]
     return BackgroundKnowledge(rng.sample(arcs, min(count, len(arcs))))

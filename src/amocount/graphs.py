@@ -2,10 +2,11 @@
 
 Vertices are integers.  Graphs built through ``UndirectedGraph(n, edges)``
 use the dense range ``0..n-1``; induced subgraphs keep the labels of their
-host graph.  The LBFS and maximum-cardinality-search cores work on bitmasks
-over the positions of a graph's sorted vertex tuple, so a mask over a host
-graph identifies an induced subproblem unambiguously; the counting engine
-keys its memo table on exactly that.
+host graph.  A graph stores neighbour masks over the positions of its
+sorted vertex tuple, and the LBFS and maximum-cardinality-search cores work
+on those masks, so a mask over a host graph identifies an induced
+subproblem unambiguously; the counting engine keys its memo table on
+exactly that.
 """
 
 from __future__ import annotations
@@ -15,9 +16,17 @@ from dataclasses import dataclass
 
 
 class UndirectedGraph:
-    """Immutable undirected graph with set-based adjacency."""
+    """Immutable undirected graph stored as neighbour masks.
 
-    __slots__ = ("vertices", "_adj", "_vertex_set")
+    Bit i of a mask is the vertex ``vertices[i]``, the i-th of the sorted
+    vertex tuple, so any integer labels work and "lowest vertex id" and
+    "lowest bit" are the same thing.  ``bit`` maps each vertex to its bit and
+    ``nbr[i]`` is the neighbour mask of ``vertices[i]``; every other view is
+    read off them.  The graph's one maximum cardinality search
+    (``_mcs_cliques``) is run on first use and kept.
+    """
+
+    __slots__ = ("vertices", "bit", "nbr", "_search")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -31,20 +40,30 @@ class UndirectedGraph:
         g._init_from(vertices, edges)
         return g
 
+    @classmethod
+    def _from_masks(cls, vertices: tuple, nbr) -> "UndirectedGraph":
+        """The graph over the sorted tuple ``vertices`` whose neighbour masks
+        are ``nbr``, which must be symmetric and free of self-loops (not
+        checked)."""
+        g = cls.__new__(cls)
+        g.vertices, g.bit, g.nbr = vertices, {v: 1 << i for i, v in enumerate(vertices)}, tuple(nbr)
+        g._search = None
+        return g
+
     def _init_from(self, vertices, edges):
         vs = tuple(sorted(set(vertices)))
-        vset = frozenset(vs)
-        adj: dict[int, set[int]] = {v: set() for v in vs}
+        bit = {v: 1 << i for i, v in enumerate(vs)}
+        nbr = [0] * len(vs)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if u not in vset or v not in vset:
+            if u not in bit or v not in bit:
                 raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-            adj[u].add(v)
-            adj[v].add(u)
-        self.vertices = vs
-        self._vertex_set = vset
-        self._adj = {v: frozenset(nb) for v, nb in adj.items()}
+            bu, bv = bit[u], bit[v]
+            nbr[bu.bit_length() - 1] |= bv
+            nbr[bv.bit_length() - 1] |= bu
+        self.vertices, self.bit, self.nbr = vs, bit, tuple(nbr)
+        self._search = None
 
     @property
     def n(self) -> int:
@@ -52,46 +71,52 @@ class UndirectedGraph:
 
     @property
     def vertex_set(self) -> frozenset:
-        return self._vertex_set
+        return frozenset(self.vertices)
 
     def neighbors(self, v) -> frozenset:
-        return self._adj[v]
+        vs = self.vertices
+        return frozenset(vs[i] for i in _iter_bits(self.nbr[self.bit[v].bit_length() - 1]))
 
     def has_edge(self, u, v) -> bool:
-        if u not in self._adj:
+        if u not in self.bit:
             raise KeyError(f"unknown vertex {u}")
-        return v in self._adj[u]
+        return bool(self.nbr[self.bit[u].bit_length() - 1] & self.bit.get(v, 0))
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in self.vertices:
-            for v in sorted(self._adj[u]):
-                if u < v:
-                    out.append((u, v))
-        return out
+        vs = self.vertices
+        return [
+            (u, vs[j]) for i, u in enumerate(vs) for j in _iter_bits(self.nbr[i] >> (i + 1) << (i + 1))
+        ]
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nb) for nb in self._adj.values()) // 2
+        return sum(m.bit_count() for m in self.nbr) // 2
 
     def induced(self, subset) -> "UndirectedGraph":
         """Induced subgraph keeping the original vertex labels."""
-        sub = frozenset(subset)
-        if not sub <= self._vertex_set:
+        sub = set(subset)
+        if not sub <= self.bit.keys():
             raise ValueError("subset contains vertices outside the graph")
-        g = UndirectedGraph.__new__(UndirectedGraph)
-        g.vertices = tuple(sorted(sub))
-        g._vertex_set = sub
-        g._adj = {v: self._adj[v] & sub for v in sub}
-        return g
+        vs = tuple(sorted(sub))
+        at = [self.bit[v].bit_length() - 1 for v in vs]
+        inside = sum(1 << i for i in at)
+        new = {i: 1 << j for j, i in enumerate(at)}  # host position -> new bit
+        nbr = [sum(map(new.__getitem__, _iter_bits(self.nbr[i] & inside))) for i in at]
+        return UndirectedGraph._from_masks(vs, nbr)
+
+    def _mcs(self) -> tuple:
+        """``_mcs_cliques`` over the whole graph, run once and kept."""
+        if self._search is None:
+            self._search = _mcs_cliques(self.nbr, (1 << self.n) - 1)
+        return self._search
 
     def __eq__(self, other):
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self._adj == other._adj
+        return self.vertices == other.vertices and self.nbr == other.nbr
 
     def __hash__(self):
-        return hash((self.vertices, frozenset((v, nb) for v, nb in self._adj.items())))
+        return hash((self.vertices, self.nbr))
 
     def __repr__(self):
         return f"UndirectedGraph(n={self.n}, m={self.num_edges})"
@@ -103,18 +128,6 @@ def _iter_bits(mask: int):
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
-
-
-def _masks(g: UndirectedGraph) -> tuple[dict, list]:
-    """Bit of each vertex and neighbour mask of each position.
-
-    A vertex's bit is its position in the sorted vertex tuple, not its
-    label, so any integer labels work; sorted positions keep "lowest vertex
-    id" and "lowest bit" the same thing.
-    """
-    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
-    adj = g._adj
-    return bit, [sum(map(bit.__getitem__, adj[v])) for v in g.vertices]
 
 
 def _mask_components(nbr, mask) -> list[int]:
@@ -229,29 +242,16 @@ def lbfs_order(g: UndirectedGraph) -> list:
     """Lexicographic BFS ordering, lowest vertex id on ties."""
     if g.n == 0:
         raise ValueError("graph is empty")
-    _, nbr = _masks(g)
-    _, _, order = _lbfs(nbr, (1 << g.n) - 1, 0, None, False)
+    _, _, order = _lbfs(g.nbr, (1 << g.n) - 1, 0, None, False)
     return [g.vertices[i] for i in order]
 
 
 def is_chordal(g: UndirectedGraph) -> bool:
     """Whether ``g`` is chordal."""
-    _, nbr = _masks(g)
-    return not _mcs_cliques(nbr, (1 << g.n) - 1).nonchordal
+    return not g._mcs()[2]
 
 
-class _Search(tuple):
-    """What ``_mcs_cliques`` returns: the pair ``(cliques, parents)``, and in
-    ``nonchordal`` the mask of the vertices where a chordality check failed,
-    0 exactly when the searched graph is chordal."""
-
-    def __new__(cls, cliques, parents, nonchordal):
-        search = super().__new__(cls, (cliques, parents))
-        search.nonchordal = nonchordal
-        return search
-
-
-def _mcs_cliques(nbr, sub) -> _Search:
+def _mcs_cliques(nbr, sub) -> tuple[list, list, int]:
     """Maximal cliques of the chordal graph on the nonempty mask ``sub``, and a
     clique tree; the same search tells whether the graph is chordal.
 
@@ -262,11 +262,12 @@ def _mcs_cliques(nbr, sub) -> _Search:
     recently numbered earlier neighbour (Blair and Peyton 1993), so the
     parents form a clique tree rooted at the first clique, and every parent
     comes before its children.  A clique with no earlier neighbour starts a
-    new component and has parent None.  Returns ``(cliques, parents)``,
-    cliques as masks in the order they were found, with ``nonchordal`` set to
-    the mask of the vertices where one of two checks failed: a vertex that
-    grows the open set must be adjacent to all of it, and the earlier
-    neighbours of a vertex that opens a set must lie in its parent clique.
+    new component and has parent None.  Returns ``(cliques, parents,
+    nonchordal)``: the cliques as masks in the order they were found, their
+    parents, and the mask of the vertices where one of two checks failed, 0
+    exactly when the searched graph is chordal.  A vertex that grows the open
+    set must be adjacent to all of it, and the earlier neighbours of a vertex
+    that opens a set must lie in its parent clique.
 
     The checks are a chordality test (Tarjan and Yannakakis 1984).  When
     they all pass, each vertex's earlier neighbours form a clique, so the
@@ -345,7 +346,7 @@ def _mcs_cliques(nbr, sub) -> _Search:
         best += 1
     cliques.append(current)
     parents.append(up)
-    return _Search(cliques, parents, nonchordal)
+    return cliques, parents, nonchordal
 
 
 def maximal_cliques(g: UndirectedGraph) -> list[tuple[int, ...]]:
@@ -355,11 +356,9 @@ def maximal_cliques(g: UndirectedGraph) -> list[tuple[int, ...]]:
     """
     if g.n == 0:
         return []
-    _, nbr = _masks(g)
-    search = _mcs_cliques(nbr, (1 << g.n) - 1)
-    if search.nonchordal:
+    cliques, _, nonchordal = g._mcs()
+    if nonchordal:
         raise ValueError("graph is not chordal")
-    cliques = search[0]
     vs = g.vertices
     return sorted(tuple(vs[i] for i in _iter_bits(c)) for c in cliques)
 
@@ -394,7 +393,7 @@ def clique_tree(g: UndirectedGraph) -> RootedCliqueTree:
     """
     if g.n == 0:
         raise ValueError("graph is empty")
-    if len(_mask_components(_masks(g)[1], (1 << g.n) - 1)) != 1:
+    if g._mcs()[1].count(None) != 1:  # each component starts with a parentless clique
         raise ValueError("clique tree requires a connected graph")
     cliques = maximal_cliques(g)
     m = len(cliques)

@@ -45,17 +45,6 @@ class BackgroundKnowledge:
     def empty(cls) -> "BackgroundKnowledge":
         return cls()
 
-    def restrict(self, vertices) -> "BackgroundKnowledge":
-        vs = frozenset(vertices)
-        return BackgroundKnowledge(p for p in self.pairs if p[0] in vs and p[1] in vs)
-
-    def endpoints(self) -> frozenset:
-        out = set()
-        for u, v in self.pairs:
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
-
     def union(self, other) -> "BackgroundKnowledge":
         return BackgroundKnowledge(self.pairs | frozenset(other))
 
@@ -90,7 +79,7 @@ class PartiallyDirectedGraph:
     exactly one direction.
     """
 
-    __slots__ = ("n", "directed", "_masks", "_undirected_trees", "_nonchordal")
+    __slots__ = ("n", "directed", "_masks", "_forest")
 
     def __init__(self, n: int, undirected=(), directed=()):
         if n < 0:
@@ -142,7 +131,7 @@ class PartiallyDirectedGraph:
         self.n = n
         self.directed = frozenset(dire)
         self._masks = tuple(masks)
-        self._undirected_trees = None
+        self._forest = None
 
     @property
     def undirected(self) -> frozenset:
@@ -166,7 +155,7 @@ class PartiallyDirectedGraph:
         return {v: frozenset(nb) for v, nb in adj.items()}
 
     def undirected_part(self) -> UndirectedGraph:
-        return UndirectedGraph(self.n, self.undirected)
+        return UndirectedGraph._from_masks(tuple(range(self.n)), self._masks)
 
     def undirected_masks(self) -> tuple:
         """Neighbour mask of each vertex 0..n-1 in the undirected part: bit u
@@ -181,13 +170,21 @@ class PartiallyDirectedGraph:
         search numbers a component completely before it leaves it and starts
         each at its lowest vertex, so the parentless cliques cut its output
         into the per-component results."""
-        if self._undirected_trees is None:
+        return self._mcs()[0]
+
+    def nonchordal_vertices(self) -> int:
+        """Mask of the vertices where the search behind ``undirected_trees``
+        failed a chordality check (``_mcs_cliques``): a component of the
+        undirected part is chordal exactly when it holds none of them."""
+        return self._mcs()[1]
+
+    def _mcs(self) -> tuple:
+        """``(undirected_trees, nonchordal_vertices)``, computed once."""
+        if self._forest is None:
             trees = []
             nonchordal = 0
             if self.n:
-                search = _mcs_cliques(self.undirected_masks(), (1 << self.n) - 1)
-                cliques, parents = search
-                nonchordal = search.nonchordal
+                cliques, parents, nonchordal = _mcs_cliques(self._masks, (1 << self.n) - 1)
                 starts = [i for i, p in enumerate(parents) if p is None]
                 for a, b in zip(starts, starts[1:] + [len(cliques)]):
                     part = cliques[a:b]
@@ -195,20 +192,8 @@ class PartiallyDirectedGraph:
                     for c in part:
                         mask |= c
                     trees.append((mask, part, [p if p is None else p - a for p in parents[a:b]]))
-            self._undirected_trees = tuple(trees)
-            self._nonchordal = nonchordal
-        return self._undirected_trees
-
-    def nonchordal_vertices(self) -> int:
-        """Mask of the vertices where the search behind ``undirected_trees``
-        failed a chordality check (``_mcs_cliques``): a component of the
-        undirected part is chordal exactly when it holds none of them."""
-        self.undirected_trees()
-        return self._nonchordal
-
-    @property
-    def is_fully_directed(self) -> bool:
-        return not any(self._masks)
+            self._forest = (tuple(trees), nonchordal)
+        return self._forest
 
     def __eq__(self, other):
         if isinstance(other, PartiallyDirectedGraph):

@@ -18,7 +18,6 @@ from .graphs import (
     _iter_bits,
     _lbfs,
     _mask_components,
-    _masks,
 )
 from .mec import PartiallyDirectedGraph, _is_acyclic
 
@@ -271,10 +270,9 @@ def phi_bruteforce(vertex_set, chain, knowledge) -> int:
 
 def connected_components(g: UndirectedGraph) -> list[frozenset]:
     """Components as vertex sets, ordered by their smallest vertex."""
-    _, nbr = _masks(g)
     vs = g.vertices
     return [
-        frozenset(vs[i] for i in _iter_bits(c)) for c in _mask_components(nbr, (1 << g.n) - 1)
+        frozenset(vs[i] for i in _iter_bits(c)) for c in _mask_components(g.nbr, (1 << g.n) - 1)
     ]
 
 
@@ -308,11 +306,11 @@ def lbfs_background(g: UndirectedGraph, clique, knowledge) -> LbfsResult:
         raise ValueError(f"{sorted(c)} is not a maximal clique of the graph")
     pairs = _pairs_of(knowledge)
     for u, v in pairs:
-        if u not in g.vertex_set or v not in g.vertex_set or not g.has_edge(u, v):
+        if u not in g.bit or not g.has_edge(u, v):
             raise ValueError(f"claim {u}->{v} is not an edge of the graph")
-    bit, nbr = _masks(g)
+    bit = g.bit
     preds, _ = _claim_masks(bit, pairs)
-    flag, comps, _ = _lbfs(nbr, (1 << g.n) - 1, sum(map(bit.__getitem__, c)), preds, True)
+    flag, comps, _ = _lbfs(g.nbr, (1 << g.n) - 1, sum(map(bit.__getitem__, c)), preds, True)
     vs = g.vertices
     return LbfsResult(bool(flag), tuple(frozenset(vs[i] for i in _iter_bits(h)) for h in comps))
 

@@ -27,7 +27,6 @@ from amocount.generators import GenConfig, gen_background, grow_background, rand
 from amocount.graphs import (
     UndirectedGraph,
     _claim_masks,
-    _masks,
     _mcs_cliques,
     lbfs_order,
     maximal_cliques,
@@ -145,9 +144,9 @@ def test_count_is_invariant_under_clique_tree_root():
         g = random_uccg(seed, 3, 8)
         k = random_claims(g, random.Random(530_000 + seed), "oriented" if seed % 2 else "empty")
         baseline = count_uccg(g, k)
-        bit, nbr = _masks(g)
+        bit, nbr = g.bit, g.nbr
         full = (1 << g.n) - 1
-        cliques, parents = _mcs_cliques(nbr, full)
+        cliques, parents, _ = _mcs_cliques(nbr, full)
         for i in range(len(cliques)):
             session = CountingSession(*_claim_masks(bit, k.pairs))
             assert session._count(full, _reroot(cliques, parents, i)) == baseline, (seed, i)

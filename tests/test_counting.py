@@ -34,9 +34,9 @@ from amocount.graphs import (
     _iter_bits,
     _lbfs,
     _mask_components,
-    _masks,
     _mcs_cliques,
     clique_tree,
+    is_chordal,
     lbfs_order,
     maximal_cliques,
 )
@@ -480,7 +480,7 @@ def check_sweeps(g, knowledge):
     the order is an LBFS ordering that starts with the seed's positions,
     lowest first, and the components split the vertices outside the seed
     into connected parts."""
-    bit, nbr = _masks(g)
+    bit, nbr = g.bit, g.nbr
     whole = (1 << g.n) - 1
     claim_preds, _ = _claim_masks(bit, knowledge.pairs)
     for seed in [0] + _mcs_cliques(nbr, whole)[0]:
@@ -536,11 +536,11 @@ def table_matches_full_sweep(g, knowledge, rng):
     of two or more vertices, each handed down with a clique tree.  Returns
     the number of accepted picks that leave a subproblem of two or more
     vertices."""
-    bit, nbr = _masks(g)
+    bit, nbr = g.bit, g.nbr
     preds, targets = _claim_masks(bit, knowledge.pairs)
     recursing = 0
     for sub in _mask_components(nbr, (1 << g.n) - 1):
-        cliques, parents = _mcs_cliques(nbr, sub)
+        cliques, parents, _ = _mcs_cliques(nbr, sub)
         cliques, parents = _reroot(cliques, parents, rng.randrange(len(cliques)))
         sides, walked = _group_table(cliques, parents, preds, targets)
         assert len(sides) == len(cliques)
@@ -634,7 +634,7 @@ class TestCliqueWalk:
     def test_each_miss_recurses_into_its_accepted_picks_only(self, seed, monkeypatch):
         rng = random.Random(104_000 + seed)
         g = random_uccg(seed, 4, 14) if seed % 2 else sparse_chordal(rng, rng.randint(10, 40))
-        bit, nbr = _masks(g)
+        bit, nbr = g.bit, g.nbr
         for k in walk_claims(g, rng):
             calls = recorded_recursion(monkeypatch)
             count_session(uccg_instance(g, k))
@@ -810,7 +810,7 @@ class TestForbiddenPrefixes:
 
 def connected_submasks(g, seed):
     """The components of the whole graph and of six random vertex subsets."""
-    _, nbr = _masks(g)
+    nbr = g.nbr
     rng = random.Random(41_000 + seed)
     subs = set(_mask_components(nbr, (1 << g.n) - 1))
     for _ in range(6):
@@ -828,7 +828,7 @@ class TestMaskCliqueTree:
         nbr, subs = connected_submasks(g, seed)
         vs = g.vertices
         for sub in subs:
-            cliques, _ = _mcs_cliques(nbr, sub)
+            cliques, _, _ = _mcs_cliques(nbr, sub)
             got = sorted(tuple(vs[i] for i in _iter_bits(c)) for c in cliques)
             assert got == maximal_cliques(g.induced(vs[i] for i in _iter_bits(sub))), (seed, sub)
 
@@ -837,7 +837,7 @@ class TestMaskCliqueTree:
         g = random_uccg(seed, 6, 14)
         nbr, subs = connected_submasks(g, seed)
         for sub in subs:
-            cliques, parents = _mcs_cliques(nbr, sub)
+            cliques, parents, _ = _mcs_cliques(nbr, sub)
             assert parents[0] is None
             assert all(parents[i] < i for i in range(1, len(cliques)))
             for v in _iter_bits(sub):
@@ -858,7 +858,7 @@ class TestMaskCliqueTree:
             return {frozenset((cliques[i], cliques[p])) for i, p in enumerate(parents) if p is not None}
 
         for sub in subs:
-            base_cliques, base = _mcs_cliques(nbr, sub)
+            base_cliques, base, _ = _mcs_cliques(nbr, sub)
             for root in range(len(base_cliques)):
                 cliques, parents = _reroot(base_cliques, base, root)
                 assert sorted(cliques) == sorted(base_cliques)
@@ -877,7 +877,7 @@ class TestMaskCliqueTree:
         g = random_uccg(3, 12, 14)
         k = random_claims(g, random.Random(3), "oriented")
         expected = count_uccg(g, k)
-        bit, nbr = _masks(g)
+        bit, nbr = g.bit, g.nbr
         session = CountingSession(*_claim_masks(bit, k.pairs))
         full = (1 << g.n) - 1
 
@@ -886,11 +886,11 @@ class TestMaskCliqueTree:
 
         monkeypatch.setattr(UndirectedGraph, "induced", forbidden)
         monkeypatch.setattr(UndirectedGraph, "_init_from", forbidden)
-        monkeypatch.setattr(counting_module, "_masks", forbidden)
+        monkeypatch.setattr(UndirectedGraph, "_from_masks", forbidden)
         monkeypatch.setattr(counting_module, "clique_tree", forbidden)
         monkeypatch.setattr(counting_module, "_lbfs", forbidden)
         monkeypatch.setattr(graphs_module, "_lbfs", forbidden)
-        tree = _mcs_cliques(nbr, full)
+        tree = _mcs_cliques(nbr, full)[:2]
         assert session._count(full, tree) == expected
         assert session.clique_picks > 1
 
@@ -909,8 +909,7 @@ class TestMaskCliqueTree:
 
         monkeypatch.setattr(UndirectedGraph, "_init_from", forbidden)
         monkeypatch.setattr(UndirectedGraph, "induced", forbidden)
-        monkeypatch.setattr(graphs_module, "_masks", forbidden)
-        monkeypatch.setattr(counting_module, "_masks", forbidden)
+        monkeypatch.setattr(UndirectedGraph, "_from_masks", forbidden)
         monkeypatch.setattr(PartiallyDirectedGraph, "undirected_part", forbidden)
         monkeypatch.setattr(mec_module, "chordal_components", forbidden)
         monkeypatch.setattr(counting_module, "_lbfs", forbidden)
@@ -963,9 +962,9 @@ class TestCountUccg:
                 count_uccg(g, BackgroundKnowledge.empty())
 
     def test_root_choice_does_not_matter(self):
-        bit, nbr = _masks(SEVEN)
+        bit, nbr = SEVEN.bit, SEVEN.nbr
         full = (1 << SEVEN.n) - 1
-        cliques, parents = _mcs_cliques(nbr, full)
+        cliques, parents, _ = _mcs_cliques(nbr, full)
         for i in range(len(cliques)):
             session = CountingSession(*_claim_masks(bit, [(2, 5)]))
             assert session._count(full, _reroot(cliques, parents, i)) == 64
@@ -1089,7 +1088,7 @@ def counted_mcs(monkeypatch):
         calls.append(sub)
         return inner(nbr, sub)
 
-    for module in (graphs_module, mec_module, counting_module):
+    for module in (graphs_module, mec_module):
         monkeypatch.setattr(module, "_mcs_cliques", counted)
     return calls
 
@@ -1116,6 +1115,22 @@ class TestOneForest:
         p5 = UndirectedGraph(5, [(i, i + 1) for i in range(4)])
         assert count_uccg(p5, BackgroundKnowledge([(1, 2)])) == 2  # the source is 0 or 1
         assert calls == [0b11111]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_graph_queries_share_one_search(self, seed, monkeypatch):
+        g = random_uccg(seed, 4, 12)
+        full = (1 << g.n) - 1
+        calls = counted_mcs(monkeypatch)
+        assert is_chordal(g)
+        cliques = maximal_cliques(g)
+        assert sorted(clique_tree(g).nodes) == cliques
+        k = gen_amo_claims(g, 3, seed)
+        expected = count_uccg(g, k)
+        assert expected >= 1
+        assert calls == [full]
+        # the search is kept per graph: an equal graph built anew runs its own
+        assert count_uccg(UndirectedGraph(g.n, g.edges()), k) == expected
+        assert calls == [full, full]
 
     @pytest.mark.parametrize("seed", range(24))
     def test_one_search_plus_one_per_missed_subproblem(self, seed, monkeypatch):

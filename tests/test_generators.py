@@ -16,16 +16,20 @@ from amocount.generators import (
     random_chordal,
     random_chordal_with_stats,
 )
-from amocount.graphs import is_chordal, maximal_cliques
+from amocount.graphs import UndirectedGraph, is_chordal, maximal_cliques
 from amocount.instancefile import InstanceDocument, default_labels, serialize_instance
 from amocount.mec import BackgroundKnowledge, MecInstance, max_clique_knowledge
 from amocount.oracle import connected_components
 from conftest import uccg_instance
 
 
+def claims_inside(clique, knowledge):
+    c = set(clique)
+    return [(u, v) for u, v in knowledge if u in c and v in c]
+
+
 def covered_in(clique, knowledge):
-    inside = knowledge.restrict(set(clique))
-    return inside.endpoints()
+    return frozenset(x for pair in claims_inside(clique, knowledge) for x in pair)
 
 
 class TestGenConfig:
@@ -64,6 +68,17 @@ class TestRandomChordal:
         g = random_chordal(GenConfig(n=1, seed=0))
         assert g.n == 1 and g.num_edges == 0
 
+    def test_draws_build_no_edge_list(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("random_chordal built its graph from an edge list")
+
+        monkeypatch.setattr(UndirectedGraph, "_init_from", forbidden)
+        graphs = [random_chordal(GenConfig(n=n, seed=seed)) for seed, n in enumerate((1, 2, 9, 30))]
+        monkeypatch.undo()
+        for g in graphs:
+            assert g == UndirectedGraph(g.n, g.edges())
+            assert is_chordal(g)
+
     def test_thousand_draws_are_chordal_and_connected(self):
         sizes = list(range(10, 201, 10))
         for seed in range(1000):
@@ -93,8 +108,7 @@ class TestGenBackground:
         g = random_chordal(GenConfig(n=n, seed=seed))
         kn = gen_background(g, k, seed)
         for c in maximal_cliques(g):
-            inside = kn.restrict(set(c))
-            assert psi(inside.endpoints(), inside) > 0
+            assert psi(covered_in(c, kn), claims_inside(c, kn)) > 0
 
     def test_deterministic(self):
         g = random_chordal(GenConfig(n=20, seed=2))

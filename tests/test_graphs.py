@@ -8,7 +8,6 @@ import pytest
 from amocount.graphs import (
     RootedCliqueTree,
     UndirectedGraph,
-    _masks,
     _mcs_cliques,
     clique_tree,
     is_chordal,
@@ -219,8 +218,8 @@ def search_verdicts(g):
     """Per component of ``g``, by lowest vertex: whether the maximum
     cardinality search over all of ``g`` failed a chordality check inside
     it, and whether simplicial elimination finds it not chordal."""
-    bit, nbr = _masks(g)
-    nonchordal = _mcs_cliques(nbr, (1 << g.n) - 1).nonchordal
+    bit, nbr = g.bit, g.nbr
+    nonchordal = _mcs_cliques(nbr, (1 << g.n) - 1)[2]
     return [
         (
             bool(sum(map(bit.__getitem__, comp)) & nonchordal),

@@ -57,7 +57,7 @@ class TestEnumerateAmos:
         base = PartiallyDirectedGraph(4, [(0, 1), (0, 2), (1, 2)], [(0, 3)])
         outs = enumerate_amos(base)
         for o in outs:
-            assert o.is_fully_directed
+            assert not any(o.undirected_masks())
             assert o.skeleton_pairs == base.skeleton_pairs
             assert base.directed <= o.directed
             assert v_structures(o) == v_structures(base)

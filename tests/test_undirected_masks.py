@@ -1,10 +1,11 @@
-"""The undirected part of a mixed graph is stored only as neighbour masks;
-every other view of it is read off them."""
+"""Undirected graphs, and the undirected part of a mixed graph, are stored
+only as neighbour masks; every other view of them is read off the masks."""
 
 import random
 
 import pytest
 
+from amocount.graphs import UndirectedGraph
 from amocount.mec import PartiallyDirectedGraph
 
 
@@ -44,11 +45,53 @@ def test_every_view_matches_the_normalised_pairs(seed):
         adj[v].add(u)
     assert g.skeleton_adjacency() == ref.skeleton_adjacency() == adj
     assert g == ref and hash(g) == hash(ref)
-    assert g.is_fully_directed == (not norm)
     if norm:
         u, v = min(norm)
         assert g != PartiallyDirectedGraph(n, sorted(norm - {(u, v)}), dire)
         assert g != PartiallyDirectedGraph(n, sorted(norm - {(u, v)}), [*dire, (u, v)])
+    assert g.undirected_part() == UndirectedGraph(n, sorted(norm))
+
+    rng = random.Random(41_000 + seed)
+    check_views(UndirectedGraph(n, und), list(range(n)), norm, rng)
+    for low in (rng.randint(1, 50), rng.randint(-60, -1)):
+        labels = sorted(rng.sample(range(low, low + 3 * n), n))  # increasing, so u < v is kept
+        relabelled = [(labels[u], labels[v]) for u, v in und]
+        pairs = {(labels[u], labels[v]) for u, v in norm}
+        check_views(UndirectedGraph.from_vertices(labels, relabelled), labels, pairs, rng)
+
+
+def check_views(h, labels, pairs, rng):
+    """Every view of the graph ``h`` over ``labels`` against a set-based
+    reference for its edges ``pairs`` (u < v), then the same for a random
+    induced subgraph."""
+    adj = {v: set() for v in labels}
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    assert h.vertices == tuple(labels)
+    assert h.vertex_set == frozenset(labels)
+    assert h.edges() == sorted(pairs)
+    assert h.num_edges == len(pairs)
+    for v in labels:
+        assert h.neighbors(v) == adj[v]
+        assert [h.has_edge(v, u) for u in labels] == [u in adj[v] for u in labels]
+    unknown = min(labels, default=0) - 1
+    with pytest.raises(KeyError):
+        h.has_edge(unknown, unknown)
+    if labels:
+        assert not h.has_edge(labels[0], unknown)
+    same = UndirectedGraph.from_vertices(reversed(labels), [(v, u) for u, v in sorted(pairs)])
+    assert h == same and hash(h) == hash(same)
+    if pairs:
+        assert h != UndirectedGraph.from_vertices(labels, sorted(pairs)[1:])
+    with pytest.raises(ValueError):
+        h.induced([*labels, unknown])
+    sub = sorted(rng.sample(labels, rng.randint(0, len(labels))))
+    inside = {(u, v) for u, v in pairs if {u, v} <= set(sub)}
+    part = h.induced(reversed(sub))
+    assert part == UndirectedGraph.from_vertices(sub, sorted(inside))
+    if len(sub) < len(labels):
+        check_views(part, sub, inside, rng)
 
 
 def test_numpy_vertex_ids_give_python_int_masks():
