@@ -6,13 +6,10 @@ from .counting import (
     DEFAULT_PERMUTATION_CAP,
     DownSetBudgetError,
     PermutationCapError,
-    PrefixChain,
     SessionResult,
     SessionStats,
     count_session,
     count_uccg,
-    phi,
-    psi,
 )
 from .generators import (
     GenConfig,
@@ -61,7 +58,6 @@ __all__ = [
     "OracleCapError",
     "PartiallyDirectedGraph",
     "PermutationCapError",
-    "PrefixChain",
     "RootedCliqueTree",
     "SessionResult",
     "SessionStats",
@@ -79,8 +75,6 @@ __all__ = [
     "lbfs_order",
     "max_clique_knowledge",
     "maximal_cliques",
-    "phi",
-    "psi",
     "random_chordal",
     "union_graph",
     "v_structures",

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .counting import count_session
+from .counting import DEFAULT_PERMUTATION_CAP, count_session
 from .generators import (
     GenConfig,
     GenerationError,
@@ -68,7 +68,7 @@ def make_instance(n: int, k: int | None, seed: int):
     return MecInstance(graph, knowledge), g, info["p"]
 
 
-def time_count(instance: MecInstance, *, psi_cap=None):
+def time_count(instance: MecInstance, *, psi_cap: int = DEFAULT_PERMUTATION_CAP):
     t0 = time.perf_counter()
     result = count_session(instance, psi_cap=psi_cap)
     dt = (time.perf_counter() - t0) * 1000.0
@@ -116,7 +116,10 @@ def _agg_path(out_csv) -> Path:
     return p.with_name(p.stem + "_agg" + p.suffix)
 
 
-def run_bench(n_list, k_list, reps: int, seed: int, out_csv, *, psi_cap=None, log=None):
+def run_bench(
+    n_list, k_list, reps: int, seed: int, out_csv, *, psi_cap: int = DEFAULT_PERMUTATION_CAP,
+    log=None,
+):
     """Time ``reps`` seeded instances per (n, k) cell.
 
     Returns ``(records, aggregates, failures)``: one row per timed instance,
@@ -151,7 +154,10 @@ def run_bench(n_list, k_list, reps: int, seed: int, out_csv, *, psi_cap=None, lo
     return records, aggregates, failures
 
 
-def run_pair_comparison(n_list, k_list, pairs: int, seed: int, out_csv, *, psi_cap=None, log=None):
+def run_pair_comparison(
+    n_list, k_list, pairs: int, seed: int, out_csv, *, psi_cap: int = DEFAULT_PERMUTATION_CAP,
+    log=None,
+):
     """Compare each base knowledge set against its grown superset.
 
     Draw i takes ``n_list[i % N]`` and ``k_list[(i + i // L) % K]``, where N

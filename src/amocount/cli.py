@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 comparison mismatch or partial benchmark failure,
 2 parse or validation error or a file that cannot be read or written, 3
-permutation/oracle cap or down-set budget exceeded, 4 generation failure.
-The AMOCOUNT_PSI_CAP environment variable sets the default permutation cap;
---psi-cap overrides it.  A cap must be a nonnegative integer.
+permutation/oracle cap, down-set budget or recursion limit exceeded, 4
+generation failure.  The AMOCOUNT_PSI_CAP environment variable sets the
+default permutation cap of count, oracle and bench, and is read only by
+them; --psi-cap overrides it.  A cap must be a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cap_kwargs = dict(type=_cap, default=_default_psi_cap(), metavar="N")
+    cap_kwargs = dict(type=_cap, default=None, metavar="N")  # main fills in the default
 
     p = sub.add_parser("count", help="count an instance file exactly")
     p.add_argument("instance")
@@ -265,12 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # only count, oracle and bench take a cap, so only they read the variable
+    if getattr(args, "psi_cap", 0) is None:
+        args.psi_cap = _default_psi_cap()
     try:
         return args.func(args)
     except (InstanceFormatError, InvalidInstanceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except (PermutationCapError, DownSetBudgetError, OracleCapError) as e:
+    except (PermutationCapError, DownSetBudgetError, OracleCapError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
     except GenerationError as e:

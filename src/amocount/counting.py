@@ -15,7 +15,7 @@ masks over one host graph, whose neighbour masks an instance builds once
 (``PartiallyDirectedGraph.undirected_masks``), and no graph is ever built:
 the instance's one maximum cardinality search over its whole undirected
 part gives every component's cliques and clique tree
-(``PartiallyDirectedGraph.undirected_trees``), and every subproblem below
+(``PartiallyDirectedGraph.undirected_forest``), and every subproblem below
 takes the tree its pick hands down.  Results are memoized by that mask, and
 permutation counts by endpoint set.  All arithmetic is exact.
 """
@@ -68,41 +68,6 @@ class DownSetBudgetError(RuntimeError):
         self.budget = budget
 
 
-class PrefixChain:
-    """Strictly nested vertex sets R1 < R2 < ... used as forbidden prefixes."""
-
-    __slots__ = ("sets",)
-
-    def __init__(self, sets=()):
-        ss = tuple(frozenset(s) for s in sets)
-        if ss and not ss[0]:
-            raise ValueError("forbidden prefix must not be empty")
-        for a, b in zip(ss, ss[1:]):
-            if not a < b:
-                raise ValueError("prefix chain is not strictly nested")
-        self.sets = ss
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __len__(self):
-        return len(self.sets)
-
-    def __bool__(self):
-        return bool(self.sets)
-
-    def __getitem__(self, i):
-        return self.sets[i]
-
-    def __eq__(self, other):
-        if isinstance(other, PrefixChain):
-            return self.sets == other.sets
-        return NotImplemented
-
-    def __repr__(self):
-        return f"PrefixChain({[sorted(s) for s in self.sets]!r})"
-
-
 def _pairs_of(knowledge) -> frozenset:
     if isinstance(knowledge, BackgroundKnowledge):
         return knowledge.pairs
@@ -117,11 +82,12 @@ def _linear_extension_count(members: tuple, preds) -> int:
     The weakly connected parts of the claim graph order independently, so
     the count is m! / (m_1! ... m_r!), the interleavings of the parts, times
     each part's own count.  The members, listed in increasing order, are
-    renumbered 0..m-1 by rank first, so parts are m-bit masks.  When the claims number m minus the parts, each
-    part's claims form a tree (one claim per link, no cycle) and
-    ``_tree_count`` counts it in O(m_i^2); a two-vertex part holds one claim
-    and counts 1.  Any other claim set, with a cycle, a transitive claim or
-    a pair claimed both ways, has every part counted by ``_down_set_count``.
+    renumbered 0..m-1 by rank first, so parts are m-bit masks.  When the
+    claims number m minus the parts, each part's claims form a tree (one
+    claim per link, no cycle) and ``_tree_count`` counts it in O(m_i^2); a
+    two-vertex part holds one claim and counts 1.  Any other claim set, with
+    a cycle, a transitive claim or a pair claimed both ways, has every part
+    counted by ``_down_set_count``.
     """
     m = len(members)
     if m < 2:
@@ -163,8 +129,9 @@ def _tree_count(pred, link, part: int) -> int:
 
     The tree is rooted at its lowest position and walked breadth first;
     going back over the walk merges each vertex into its parent once all of
-    its own children are merged into it.  ``f[v][i]`` counts the orders of v's merged subtree that put v at index
-    i.  Merging child c (vector g, length b) into v (vector f, length a)
+    its own children are merged into it.  ``f[v][i]`` counts the orders of
+    v's merged subtree that put v at index i.  Merging child c (vector g,
+    length b) into v (vector f, length a)
     interleaves the two orders: with t of c's subtree before v, v moves to
     index i + t, in C(i+t, i) * C(a+b-1-i-t, a-1-i) ways, and the claim
     between them keeps the orders of c's subtree with c among its first t
@@ -251,26 +218,6 @@ def _down_set_count(pred, part: int) -> int:
     return layer[part]
 
 
-def _checked_cap(cap: int) -> int:
-    if cap < 0:
-        raise ValueError(f"permutation cap must be nonnegative, got {cap}")
-    return cap
-
-
-def psi(vertex_set, knowledge, *, cap: int = DEFAULT_PERMUTATION_CAP) -> int:
-    """Number of permutations of ``vertex_set`` consistent with the claims."""
-    _checked_cap(cap)
-    vk = frozenset(vertex_set)
-    pairs = _pairs_of(knowledge)
-    for u, v in pairs:
-        if u not in vk or v not in vk:
-            raise ValueError(f"claim {u}->{v} has an endpoint outside the vertex set")
-    if len(vk) > cap:
-        raise PermutationCapError(len(vk), cap)
-    preds, _ = _claim_masks({v: 1 << i for i, v in enumerate(sorted(vk))}, pairs)
-    return _linear_extension_count(tuple(range(len(vk))), preds)
-
-
 class _PermCounter:
     """Shared permutation-counting caches over one host's claim masks
     (``_claim_masks``): ``preds[v]`` is the mask of v's claim sources and
@@ -284,7 +231,9 @@ class _PermCounter:
     __slots__ = ("cap", "preds", "targets", "_phi0", "_psi", "psi_evals", "phi0_evals")
 
     def __init__(self, cap: int, preds, targets: int):
-        self.cap = _checked_cap(cap)
+        if cap < 0:
+            raise ValueError(f"permutation cap must be nonnegative, got {cap}")
+        self.cap = cap
         self.preds = preds
         self.targets = targets
         self._phi0 = {}
@@ -353,22 +302,6 @@ def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple) -> int:
             if not sources & h:
                 cur[i] = cur[i] - sub * ctx.phi_empty(h & ~r)
     return cur[l]
-
-
-def phi(vertex_set, chain, knowledge, *, psi_cap: int = DEFAULT_PERMUTATION_CAP) -> int:
-    """Consistent permutations of ``vertex_set`` with no forbidden prefix."""
-    s = frozenset(vertex_set)
-    ch = chain if isinstance(chain, PrefixChain) else PrefixChain(chain)
-    if ch and not ch[-1] < s:
-        raise ValueError("chain is not strictly nested inside the host set")
-    pairs = _pairs_of(knowledge)
-    for u, v in pairs:
-        if u not in s or v not in s:
-            raise ValueError(f"claim {u}->{v} has an endpoint outside the host set")
-    bit = {v: 1 << i for i, v in enumerate(sorted(s))}
-    chain_masks = tuple(sum(map(bit.__getitem__, r)) for r in ch)
-    ctx = _PermCounter(psi_cap, *_claim_masks(bit, pairs))
-    return _phi_with_ctx(ctx, (1 << len(s)) - 1, chain_masks)
 
 
 def _prefix_chains(cliques: list, parents: list) -> list:
@@ -540,9 +473,8 @@ class CountingSession:
     claim set is unsound.
     """
 
-    def __init__(self, preds, targets: int, *, psi_cap: int | None = None):
-        cap = DEFAULT_PERMUTATION_CAP if psi_cap is None else psi_cap
-        self.ctx = _PermCounter(cap, preds, targets)
+    def __init__(self, preds, targets: int, *, psi_cap: int = DEFAULT_PERMUTATION_CAP):
+        self.ctx = _PermCounter(psi_cap, preds, targets)
         self.memo = {}
         self.clique_picks = 0
         self.walked_cliques = 0
@@ -621,7 +553,7 @@ class CountingSession:
         )
 
 
-def count_uccg(g: UndirectedGraph, knowledge, *, psi_cap: int | None = None) -> int:
+def count_uccg(g: UndirectedGraph, knowledge, *, psi_cap: int = DEFAULT_PERMUTATION_CAP) -> int:
     """Count the acyclic moral orientations of a connected chordal graph."""
     pairs = _pairs_of(knowledge)
     for u, v in pairs:
@@ -638,7 +570,9 @@ def count_uccg(g: UndirectedGraph, knowledge, *, psi_cap: int | None = None) -> 
     return session._count((1 << g.n) - 1, (cliques, parents))
 
 
-def count_session(instance: MecInstance, *, psi_cap: int | None = None) -> SessionResult:
+def count_session(
+    instance: MecInstance, *, psi_cap: int = DEFAULT_PERMUTATION_CAP
+) -> SessionResult:
     """Validate, then count an instance with one shared memo and caches.
 
     Raises InvalidInstanceError when validation fails.  Returns the exact
@@ -657,7 +591,7 @@ def count_session(instance: MecInstance, *, psi_cap: int | None = None) -> Sessi
         count = 0  # a claim reverses one of the graph's own directed edges
     else:
         count = 1
-        for sub, cliques, parents in graph.undirected_trees():
+        for sub, cliques, parents in graph.undirected_forest()[0]:
             before = len(session.memo)
             count *= session._count(sub, (cliques, parents))
             comp_stats.append(

@@ -163,23 +163,17 @@ class PartiallyDirectedGraph:
         stored form of the undirected part."""
         return self._masks
 
-    def undirected_trees(self) -> tuple:
-        """One ``(mask, cliques, parents)`` per component of the undirected
-        part, by lowest vertex: what ``_mcs_cliques`` gives for the
-        component's mask, all from one search over the whole part.  The
-        search numbers a component completely before it leaves it and starts
-        each at its lowest vertex, so the parentless cliques cut its output
-        into the per-component results."""
-        return self._mcs()[0]
+    def undirected_forest(self) -> tuple:
+        """``(trees, nonchordal)`` for the undirected part, from one search
+        run on first use and kept.
 
-    def nonchordal_vertices(self) -> int:
-        """Mask of the vertices where the search behind ``undirected_trees``
-        failed a chordality check (``_mcs_cliques``): a component of the
-        undirected part is chordal exactly when it holds none of them."""
-        return self._mcs()[1]
-
-    def _mcs(self) -> tuple:
-        """``(undirected_trees, nonchordal_vertices)``, computed once."""
+        ``trees`` holds one ``(mask, cliques, parents)`` per component, by
+        lowest vertex: what ``_mcs_cliques`` gives for the component's mask.
+        The search numbers a component completely before it leaves it and
+        starts each at its lowest vertex, so the parentless cliques cut its
+        output into the per-component results.  ``nonchordal`` is the mask
+        of the vertices where the search failed a chordality check: a
+        component is chordal exactly when it holds none of them."""
         if self._forest is None:
             trees = []
             nonchordal = 0
@@ -273,8 +267,7 @@ def validate(instance: MecInstance) -> list[str]:
         elif not (nbr[u] >> v & 1 or (u, v) in dire or (v, u) in dire):
             msgs.append(f"knowledge claim {u}->{v} is not an edge of the graph")
 
-    trees = g.undirected_trees()
-    nonchordal = g.nonchordal_vertices()
+    trees, nonchordal = g.undirected_forest()
     comp_of = [0] * n
     for ci, (comp, _, _) in enumerate(trees):
         for v in _iter_bits(comp):
@@ -332,7 +325,8 @@ def max_clique_knowledge(instance: MecInstance) -> int:
         return 0
     g = instance.graph
     preds, targets = _claim_masks({v: 1 << v for v in range(g.n)}, pairs)
-    cliques = [c for _, part, _ in g.undirected_trees() for c in part]
-    if g.nonchordal_vertices():
+    trees, nonchordal = g.undirected_forest()
+    if nonchordal:
         raise ValueError("graph is not chordal")
+    cliques = [c for _, part, _ in trees for c in part]
     return max((_claim_endpoints(preds, c, targets).bit_count() for c in cliques), default=0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .counting import PrefixChain, _pairs_of
+from .counting import DEFAULT_PERMUTATION_CAP, _PermCounter, _pairs_of, _phi_with_ctx
 from .graphs import (
     UndirectedGraph,
     _claim_masks,
@@ -240,6 +240,41 @@ def union_graph(orientations) -> PartiallyDirectedGraph:
     return PartiallyDirectedGraph(n, undirected, directed)
 
 
+def _perm_counter(vertex_set, knowledge, psi_cap: int) -> tuple[_PermCounter, dict]:
+    """A ``_PermCounter`` over ``vertex_set``, whose i-th smallest member
+    holds bit i, and the map from members to bits; every claim must lie
+    inside the set."""
+    bit = {v: 1 << i for i, v in enumerate(sorted(frozenset(vertex_set)))}
+    pairs = _pairs_of(knowledge)
+    for u, v in pairs:
+        if u not in bit or v not in bit:
+            raise ValueError(f"claim {u}->{v} has an endpoint outside the vertex set")
+    return _PermCounter(psi_cap, *_claim_masks(bit, pairs)), bit
+
+
+def psi(vertex_set, knowledge, *, psi_cap: int = DEFAULT_PERMUTATION_CAP) -> int:
+    """Number of permutations of ``vertex_set`` consistent with the claims."""
+    ctx, bit = _perm_counter(vertex_set, knowledge, psi_cap)
+    return ctx.psi_value(tuple(range(len(bit))))
+
+
+def phi(vertex_set, chain, knowledge, *, psi_cap: int = DEFAULT_PERMUTATION_CAP) -> int:
+    """Consistent permutations of ``vertex_set`` that start with no set of
+    ``chain``: nonempty sets, each strictly inside the next and the last
+    strictly inside ``vertex_set``."""
+    ctx, bit = _perm_counter(vertex_set, knowledge, psi_cap)
+    sets = [frozenset(r) for r in chain]
+    if sets and not sets[0]:
+        raise ValueError("forbidden prefix must not be empty")
+    for a, b in zip(sets, sets[1:]):
+        if not a < b:
+            raise ValueError("prefix chain is not strictly nested")
+    if sets and not sets[-1] < bit.keys():
+        raise ValueError("chain is not strictly nested inside the host set")
+    masks = tuple(sum(map(bit.__getitem__, r)) for r in sets)
+    return _phi_with_ctx(ctx, (1 << len(bit)) - 1, masks)
+
+
 def psi_bruteforce(vertex_set, knowledge) -> int:
     """Filter all permutations; test oracle for the linear-extension count."""
     members = sorted(frozenset(vertex_set))
@@ -315,10 +350,10 @@ def lbfs_background(g: UndirectedGraph, clique, knowledge) -> LbfsResult:
     return LbfsResult(bool(flag), tuple(frozenset(vs[i] for i in _iter_bits(h)) for h in comps))
 
 
-def forbidden_prefixes(tree, clique) -> PrefixChain:
+def forbidden_prefixes(tree, clique) -> tuple:
     """Separators along the root path of ``clique``, a node of the rooted
-    clique ``tree``, that sit inside it; the reference for
-    ``counting._prefix_chains``.
+    clique ``tree``, that sit inside it, as frozensets, smallest first; the
+    reference for ``counting._prefix_chains``.
 
     The distinct qualifying separators always form one strictly nested
     chain; anything else signals a broken clique tree.
@@ -344,7 +379,7 @@ def forbidden_prefixes(tree, clique) -> PrefixChain:
             )
     if ordered and not ordered[-1] < cset:
         raise RuntimeError("forbidden prefix equals its clique")
-    return PrefixChain(ordered)
+    return tuple(ordered)
 
 
 def _reroot(cliques: list, parents: list, root: int) -> tuple[list, list]:

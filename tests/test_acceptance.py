@@ -15,14 +15,7 @@ import statistics
 import time
 
 from amocount.bench import derived_seed, make_instance, run_bench, time_count
-from amocount.counting import (
-    CountingSession,
-    PrefixChain,
-    count_session,
-    count_uccg,
-    phi,
-    psi,
-)
+from amocount.counting import CountingSession, count_session, count_uccg
 from amocount.generators import GenConfig, gen_background, grow_background, random_chordal
 from amocount.graphs import (
     UndirectedGraph,
@@ -42,7 +35,9 @@ from amocount.oracle import (
     amos_represented_by,
     enumerate_amos,
     lbfs_background,
+    phi,
     phi_bruteforce,
+    psi,
     psi_bruteforce,
     union_graph,
 )
@@ -104,7 +99,7 @@ def test_engine_matches_bruteforce_oracle_on_500_instances():
 def test_five_vertex_two_claim_permutation_count_is_20():
     out = phi(
         frozenset({1, 2, 3, 4, 5}),
-        PrefixChain(),
+        (),
         BackgroundKnowledge([(1, 2), (2, 3)]),
     )
     assert out == 20

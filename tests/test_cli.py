@@ -87,6 +87,40 @@ class TestCount:
         assert main([command, str(path)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: not UTF-8 text: ")
 
+    def test_deep_nesting_exits_like_a_cap(self, tmp_path, capsys):
+        # the nested threshold graph T_40 with its top hub first: from the
+        # edge 80-81, each even h below 80 is a hub joined to every vertex
+        # above it, so counting it nests 41 calls deep
+        n = 82
+        edges = [(80, 81)] + [(h, w) for h in range(0, 80, 2) for w in range(h + 1, n)]
+        path = write(
+            tmp_path,
+            "threshold.json",
+            {
+                "format": FORMAT_NAME,
+                "version": FORMAT_VERSION,
+                "vertices": [f"v{i:02d}" for i in range(n)],
+                "undirected_edges": [[f"v{u:02d}", f"v{w:02d}"] for u, w in edges],
+            },
+        )
+        assert main(["count", path]) == EXIT_OK
+        assert int(capsys.readouterr().out) > 0
+        script = (
+            "import sys\n"
+            "from amocount.cli import main\n"
+            "sys.setrecursionlimit(45)\n"
+            f"sys.exit(main(['count', {path!r}]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(amocount.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == EXIT_CAP
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: maximum recursion depth exceeded")
+        assert done.stderr.count("\n") == 1
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope", encoding="utf-8")
@@ -173,6 +207,20 @@ class TestPsiCap:
     def test_garbage_environment_value_is_ignored(self, tmp_path, monkeypatch, capsys):
         path = self.complete4(tmp_path)
         monkeypatch.setenv(PSI_CAP_ENV, "not-a-number")
+        assert main(["count", path]) == EXIT_OK
+        assert "ignoring" in capsys.readouterr().err
+
+    def test_only_commands_that_take_a_cap_read_the_environment(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(PSI_CAP_ENV, "x")
+        path = paw_instance(tmp_path)
+        out = str(tmp_path / "gen.json")
+        assert main(["gen", "--n", "5", "--seed", "1", "--out", out]) == EXIT_OK
+        assert main(["validate", path]) == EXIT_OK
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().err == ""
         assert main(["count", path]) == EXIT_OK
         assert "ignoring" in capsys.readouterr().err
 

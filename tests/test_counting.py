@@ -18,11 +18,8 @@ from amocount.counting import (
     DEFAULT_PERMUTATION_CAP,
     CountingSession,
     PermutationCapError,
-    PrefixChain,
     count_session,
     count_uccg,
-    phi,
-    psi,
     _group_table,
     _prefix_chains,
 )
@@ -59,7 +56,9 @@ from amocount.oracle import (
     enumerate_amos,
     forbidden_prefixes,
     lbfs_background,
+    phi,
     phi_bruteforce,
+    psi,
     psi_bruteforce,
     union_graph,
 )
@@ -80,24 +79,25 @@ def complete(n):
 
 
 class TestPrefixChain:
-    def test_valid_chain(self):
-        ch = PrefixChain([{1}, {1, 2}, {1, 2, 3}])
-        assert len(ch) == 3
-        assert ch[0] == frozenset({1})
-        assert list(ch) == [frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3})]
+    """``phi`` takes its forbidden prefixes as any sequence of sets, and
+    checks that they are nonempty and strictly nested."""
 
-    def test_empty_chain(self):
-        assert not PrefixChain()
+    def test_valid_chain(self):
+        host = frozenset({1, 2, 3, 4})
+        expected = phi_bruteforce(host, [{1}, {1, 2}, {1, 2, 3}], ())
+        for chain in [{1}, {1, 2}, {1, 2, 3}], ((1,), (1, 2), (1, 2, 3)), ({1}, [2, 1], {3, 2, 1}):
+            assert phi(host, chain, ()) == expected
 
     def test_rejects_non_nested(self):
-        with pytest.raises(ValueError):
-            PrefixChain([{1}, {2, 3}])
-        with pytest.raises(ValueError):
-            PrefixChain([{1, 2}, {1, 2}])
+        host = frozenset({1, 2, 3, 4})
+        with pytest.raises(ValueError, match="not strictly nested"):
+            phi(host, [{1}, {2, 3}], ())
+        with pytest.raises(ValueError, match="not strictly nested"):
+            phi(host, [{1, 2}, {1, 2}], ())
 
     def test_rejects_empty_prefix(self):
-        with pytest.raises(ValueError):
-            PrefixChain([set(), {1}])
+        with pytest.raises(ValueError, match="must not be empty"):
+            phi(frozenset({1, 2, 3}), [set(), {1}], ())
 
 
 class TestPsi:
@@ -121,14 +121,14 @@ class TestPsi:
         assert e.value.size == DEFAULT_PERMUTATION_CAP + 1
         assert e.value.cap == DEFAULT_PERMUTATION_CAP
         # a raised cap unblocks the same call
-        assert psi(frozenset(range(4)), BackgroundKnowledge.empty(), cap=4) == 24
+        assert psi(frozenset(range(4)), BackgroundKnowledge.empty(), psi_cap=4) == 24
         with pytest.raises(PermutationCapError):
-            psi(frozenset(range(5)), BackgroundKnowledge.empty(), cap=4)
+            psi(frozenset(range(5)), BackgroundKnowledge.empty(), psi_cap=4)
 
     def test_rejects_a_negative_cap(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            psi(frozenset(), BackgroundKnowledge.empty(), cap=-1)
-        assert psi(frozenset(), BackgroundKnowledge.empty(), cap=0) == 1
+            psi(frozenset(), BackgroundKnowledge.empty(), psi_cap=-1)
+        assert psi(frozenset(), BackgroundKnowledge.empty(), psi_cap=0) == 1
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_enumeration(self, seed):
@@ -195,7 +195,7 @@ class TestPsiSplit:
         expected = math.factorial(40)
         for length in lengths:
             expected //= math.factorial(length)
-        assert psi(frozenset(range(40)), k, cap=40) == expected
+        assert psi(frozenset(range(40)), k, psi_cap=40) == expected
 
     def test_cap_counts_every_touched_vertex_not_each_component(self):
         k = BackgroundKnowledge(disjoint_chains([3] * 7))
@@ -276,7 +276,7 @@ class TestPsiTrees:
         # claims 0 -> 1 <- 2 -> 3 <- ... -> 39
         k = BackgroundKnowledge((i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(39))
         assert [euler_zigzag(m) for m in range(1, 7)] == [1, 1, 2, 5, 16, 61]
-        assert psi(frozenset(range(40)), k, cap=40) == euler_zigzag(40)
+        assert psi(frozenset(range(40)), k, psi_cap=40) == euler_zigzag(40)
 
     def test_a_transitive_triangle_is_not_a_tree(self):
         k = BackgroundKnowledge([(0, 1), (1, 2), (0, 2)])
@@ -309,7 +309,7 @@ class TestPsiTrees:
 
 class TestPhi:
     def test_five_vertex_chain_of_two_claims(self):
-        out = phi(frozenset({1, 2, 3, 4, 5}), PrefixChain(), BackgroundKnowledge([(1, 2), (2, 3)]))
+        out = phi(frozenset({1, 2, 3, 4, 5}), (), BackgroundKnowledge([(1, 2), (2, 3)]))
         assert out == 20
 
     def test_single_prefix(self):
@@ -795,17 +795,17 @@ class TestIdentitiesAtScale:
 class TestForbiddenPrefixes:
     def test_seven_vertex_tree(self):
         t = clique_tree(SEVEN)
-        assert forbidden_prefixes(t, (0, 1, 2, 3)) == PrefixChain()
-        assert forbidden_prefixes(t, (2, 3, 4, 5)) == PrefixChain([{2, 3}])
-        assert forbidden_prefixes(t, (4, 5, 6)) == PrefixChain([{4, 5}])
+        assert forbidden_prefixes(t, (0, 1, 2, 3)) == ()
+        assert forbidden_prefixes(t, (2, 3, 4, 5)) == (frozenset({2, 3}),)
+        assert forbidden_prefixes(t, (4, 5, 6)) == (frozenset({4, 5}),)
 
     def test_separator_not_inside_clique_is_skipped(self):
         # star of cliques: separators with the root are not inside the leaves
         g = UndirectedGraph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
         t = clique_tree(g)
         assert t.nodes[t.root] == (0, 1, 2)
-        assert forbidden_prefixes(t, (2, 3, 4)) == PrefixChain([{2}])
-        assert forbidden_prefixes(t, (0, 1, 2)) == PrefixChain()
+        assert forbidden_prefixes(t, (2, 3, 4)) == (frozenset({2}),)
+        assert forbidden_prefixes(t, (0, 1, 2)) == ()
 
 
 def connected_submasks(g, seed):
@@ -870,8 +870,8 @@ class TestMaskCliqueTree:
                 tree = RootedCliqueTree(nodes, tuple(parents), 0)
                 chains = _prefix_chains(cliques, parents)
                 for i, node in enumerate(nodes):
-                    expected = forbidden_prefixes(tree, node)
-                    assert PrefixChain(labels(r) for r in chains[i]) == expected, (seed, sub, root, i)
+                    got = tuple(frozenset(labels(r)) for r in chains[i])
+                    assert got == forbidden_prefixes(tree, node), (seed, sub, root, i)
 
     def test_subproblems_build_no_graph(self, monkeypatch):
         g = random_uccg(3, 12, 14)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from amocount.bench import make_instance
-from amocount.counting import count_session, psi
+from amocount.counting import count_session
 from amocount.generators import (
     GenConfig,
     GenerationError,
@@ -19,7 +19,7 @@ from amocount.generators import (
 from amocount.graphs import UndirectedGraph, is_chordal, maximal_cliques
 from amocount.instancefile import InstanceDocument, default_labels, serialize_instance
 from amocount.mec import BackgroundKnowledge, MecInstance, max_clique_knowledge
-from amocount.oracle import connected_components
+from amocount.oracle import connected_components, psi
 from conftest import uccg_instance
 
 

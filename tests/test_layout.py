@@ -26,7 +26,12 @@ MOVED = (
     "connected_components",
     "_is_maximal_clique",
     "_reroot",
+    "phi",
+    "psi",
 )
+# Names deleted from the package: the chain type ``phi`` no longer needs and
+# the cap check that ``_PermCounter`` now makes alone.
+GONE = ("PrefixChain", "_checked_cap")
 
 
 def imported_modules(name):
@@ -61,6 +66,14 @@ def test_references_live_in_the_oracle_only(name):
             assert not hasattr(module, name), (path.stem, name)
     assert not hasattr(amocount, name)
     assert name not in amocount.__all__
+
+
+@pytest.mark.parametrize("name", GONE)
+def test_deleted_names_stay_deleted(name):
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            assert not hasattr(importlib.import_module(f"amocount.{path.stem}"), name), path.stem
+    assert not hasattr(amocount, name)
 
 
 def test_every_public_name_resolves():

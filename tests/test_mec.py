@@ -409,14 +409,14 @@ class TestUndirectedTrees:
     @pytest.mark.parametrize("seed", range(30))
     def test_chain_instances(self, seed):
         graph = random_chain_instance(seed).graph
-        assert len(graph.undirected_trees()) >= 2
-        assert graph.undirected_trees() == per_component_trees(graph)
+        assert len(graph.undirected_forest()[0]) >= 2
+        assert graph.undirected_forest()[0] == per_component_trees(graph)
 
     # these include chordless cycles (test_the_instances_cover_every_fault)
     @pytest.mark.parametrize("seed", TestValidateAgainstReference.SEEDS)
     def test_validate_reference_instances(self, seed):
         graph = faulty_instance(seed).graph
-        assert graph.undirected_trees() == per_component_trees(graph)
+        assert graph.undirected_forest()[0] == per_component_trees(graph)
 
     @pytest.mark.parametrize(
         "graph",
@@ -430,16 +430,16 @@ class TestUndirectedTrees:
         ],
     )
     def test_small_graphs(self, graph):
-        trees = graph.undirected_trees()
+        trees = graph.undirected_forest()[0]
         assert trees == per_component_trees(graph)
-        assert graph.undirected_trees() is trees
+        assert graph.undirected_forest()[0] is trees
         assert [mask for mask, _, _ in trees] == [
             sum(1 << v for v in c.vertex_set) for c in chordal_components(graph)
         ]
 
     def test_lone_vertices_are_one_clique_each(self):
-        assert PartiallyDirectedGraph(0).undirected_trees() == ()
-        assert PartiallyDirectedGraph(3).undirected_trees() == (
+        assert PartiallyDirectedGraph(0).undirected_forest()[0] == ()
+        assert PartiallyDirectedGraph(3).undirected_forest()[0] == (
             (0b1, [0b1], [None]),
             (0b10, [0b10], [None]),
             (0b100, [0b100], [None]),
