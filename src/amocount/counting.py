@@ -10,14 +10,16 @@ gives every pick's flag and subproblems, and each subproblem comes with
 its clique tree: the group's cliques minus the separator.  Each consistent
 clique contributes the number of admissible permutations of K (those
 avoiding a chain of forbidden prefixes read off the clique tree) times the
-product of recursive counts on its subproblems.  Subproblems are vertex
-masks over one host graph, whose neighbour masks an instance builds once
-(``PartiallyDirectedGraph.undirected_masks``), and no graph is ever built:
-the instance's one maximum cardinality search over its whole undirected
-part gives every component's cliques and clique tree
-(``PartiallyDirectedGraph.undirected_forest``), and every subproblem below
-takes the tree its pick hands down.  Results are memoized by that mask, and
-permutation counts by endpoint set.  All arithmetic is exact.
+product of recursive counts on its subproblems.  The same pass over the
+links that fills the table gives every clique its chain, and each prefix's
+own count is made once per tree, so a pick costs one subtraction per
+prefix.  Subproblems are vertex masks over one host graph, whose neighbour
+masks an instance builds once (``PartiallyDirectedGraph.undirected_masks``),
+and no graph is ever built: the instance's one maximum cardinality search
+over its whole undirected part gives every component's cliques and clique
+tree (``PartiallyDirectedGraph.undirected_forest``), and every subproblem
+below takes the tree its pick hands down.  Results are memoized by that
+mask, and permutation counts by endpoint set.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -272,57 +274,36 @@ class _PermCounter:
         return val
 
 
-def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple) -> int:
-    """Consistent permutations of the mask ``host`` avoiding every chain
-    prefix (masks inside it, smallest first), under ``ctx``'s claims.
+def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple, known: dict) -> int:
+    """Consistent permutations of the mask ``host`` that start with no prefix
+    of ``chain``, under ``ctx``'s claims.
 
-    Iterative version of the standard three-case recursion: with an empty
-    chain the count factors into a quotient of factorials times a
-    consistency count on the claim endpoints; when some claim points from
-    outside the largest prefix into it, that prefix can never be completed
-    first and drops out; otherwise permutations that do start with the
-    largest prefix are subtracted, and those factor into two independent
-    subcounts.
+    ``chain`` lists ``(R, sources)`` entries, smallest R first, each R
+    strictly inside the next and the last strictly inside ``host``;
+    ``sources`` are the claim sources outside R of R's members.  A
+    consistent order of ``host`` that starts with R, and with no smaller
+    prefix, is an order of R that avoids the prefixes below R, own(R),
+    followed by any consistent order of the rest; when a claim enters R from
+    the rest there is none.  So the count is ``phi_empty(host)`` minus
+    own(R) * ``phi_empty(host & ~R)`` for each R that no claim enters from
+    ``host``, and own(R) is the same sum over R and the prefixes below it.
+    ``known`` maps masks to their own() and is filled here, smallest first:
+    it may be shared by every chain whose prefixes below each R are the
+    same, as they are within one rooted clique tree.
     """
-    l = len(chain)
-    if l == 0:
-        return ctx.phi_empty(host)
-    preds, targets = ctx.preds, ctx.targets
-    hosts = list(chain) + [host]
-    cur = [ctx.phi_empty(h) for h in hosts]
-    for d in range(1, l + 1):
-        r = chain[d - 1]
-        sources = 0  # claim sources of r's members that lie outside r
-        for v in _iter_bits(r & targets):  # preds[v] is 0 off the targets
-            sources |= preds[v]
-        sources &= ~r
-        sub = cur[d - 1]  # frozen from here on: prefixes beyond d-1 are not inside r
-        for i in range(d, l + 1):
-            h = hosts[i]
-            if not sources & h:
-                cur[i] = cur[i] - sub * ctx.phi_empty(h & ~r)
-    return cur[l]
+    phi_empty = ctx.phi_empty
+    for d, h in enumerate([r for r, _ in chain] + [host]):
+        val = known.get(h)
+        if val is None:
+            val = phi_empty(h)
+            for r, sources in chain[:d]:
+                if not sources & h:
+                    val -= known[r] * phi_empty(h & ~r)
+            known[h] = val
+    return val
 
 
-def _prefix_chains(cliques: list, parents: list) -> list:
-    """Every clique's forbidden-prefix chain, as masks, in one top-down pass.
-
-    Mask form of ``oracle.forbidden_prefixes``: a clique's chain is its
-    parent's chain cut to the separators that lie inside the clique, then the
-    separator to the parent, which holds all of them (the running
-    intersection property).  Parents come before their children.
-    """
-    chains = [()] * len(cliques)
-    for i, p in enumerate(parents):
-        if p is not None:
-            clique = cliques[i]
-            sep = clique & cliques[p]
-            chain = tuple(r for r in chains[p] if not r & ~clique)
-            chains[i] = chain if chain and chain[-1] == sep else chain + (sep,)
-    return chains
-
-
-def _group_table(cliques: list, parents: list, preds, targets: int) -> tuple[list, int]:
+def _group_table(cliques: list, parents: list, preds, targets: int) -> tuple[list, list, int]:
     """What picking each clique leaves behind, from one pass per clique-tree
     side (Wienöbst, Bannach and Liśkiewicz 2021).
 
@@ -353,10 +334,15 @@ def _group_table(cliques: list, parents: list, preds, targets: int) -> tuple[lis
     claim-free two-vertex cliques leaves lone vertices, which count 1.
 
     ``parents`` lists each clique's parent (None at clique 0, the root),
-    parents before their children.  Returns ``(sides, walked)``: ``sides[i]``
-    lists the entries of the links out of clique i, so picking it is
-    rejected iff one of them is None, and ``walked`` counts the cliques the
-    group passes reached.
+    parents before their children.  Returns ``(sides, chains, walked)``:
+    ``sides[i]`` lists the entries of the links out of clique i, so picking
+    it is rejected iff one of them is None, ``chains[i]`` is clique i's
+    forbidden-prefix chain in ``_phi_with_ctx``'s form, and ``walked``
+    counts the cliques the group passes reached.  A clique's prefixes are
+    the separators on its root path that lie inside it (the mask form of
+    ``oracle.forbidden_prefixes``): its parent's chain cut to the clique,
+    then its own separator, which holds all of them by the running
+    intersection property.
     """
     m = len(cliques)
     below = [
@@ -368,12 +354,16 @@ def _group_table(cliques: list, parents: list, preds, targets: int) -> tuple[lis
     total = below[0]
     links = [[] for _ in cliques]  # (neighbour, separator, ban, table slot)
     down, up = [], []  # (from, link) in fill order
+    chains = [()] * m
     for i in range(1, m):
         p = parents[i]
-        sep = cliques[i] & cliques[p]
+        clique = cliques[i]
+        sep = clique & cliques[p]
         ban = 0
         for v in _iter_bits(sep & targets):
             ban |= preds[v]
+        chain = tuple(e for e in chains[p] if not e[0] & ~clique)
+        chains[i] = chain if chain and chain[-1][0] == sep else chain + ((sep, ban & ~sep),)
         if below[i]:
             link = (i, sep, ban, i)
             links[p].append(link)
@@ -421,7 +411,7 @@ def _group_table(cliques: list, parents: list, preds, targets: int) -> tuple[lis
             if sub & (sub - 1):
                 found.append((sub, (group, above)))
             table[slot] = found
-    return [[table[k] for _, _, _, k in out] for out in links], walked
+    return [[table[k] for _, _, _, k in out] for out in links], chains, walked
 
 
 @dataclass(frozen=True)
@@ -449,13 +439,6 @@ class SessionStats:
     @property
     def distinct_subproblems(self) -> int:
         return sum(c.distinct_subproblems for c in self.components)
-
-    def within_recursion_bound(self) -> bool:
-        """Distinct subproblems never exceed 2*cliques - 1, per component."""
-        return all(
-            c.distinct_subproblems <= 2 * c.maximal_cliques - 1
-            for c in self.components
-        )
 
 
 @dataclass(frozen=True)
@@ -524,9 +507,9 @@ class CountingSession:
             val = ctx.phi_empty(sub)
             self.memo[sub] = val
             return val
-        chains = _prefix_chains(cliques, parents)
-        sides, walked = _group_table(cliques, parents, ctx.preds, ctx.targets)
+        sides, chains, walked = _group_table(cliques, parents, ctx.preds, ctx.targets)
         self.walked_cliques += walked
+        known = {}  # own() of the masks this tree's picks have met
         total = 0
         for clique, chain, entries in zip(cliques, chains, sides):
             self.clique_picks += 1
@@ -537,7 +520,7 @@ class CountingSession:
                 for h, t in entry:
                     prod *= self._count(h, t)
             self.phi_chain_evals += 1
-            total += prod * _phi_with_ctx(ctx, clique, chain)
+            total += prod * _phi_with_ctx(ctx, clique, chain, known)
         self.memo[sub] = total
         return total
 

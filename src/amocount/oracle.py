@@ -271,8 +271,14 @@ def phi(vertex_set, chain, knowledge, *, psi_cap: int = DEFAULT_PERMUTATION_CAP)
             raise ValueError("prefix chain is not strictly nested")
     if sets and not sets[-1] < bit.keys():
         raise ValueError("chain is not strictly nested inside the host set")
-    masks = tuple(sum(map(bit.__getitem__, r)) for r in sets)
-    return _phi_with_ctx(ctx, (1 << len(bit)) - 1, masks)
+    chain = []
+    for r in sets:
+        mask = sum(map(bit.__getitem__, r))
+        sources = 0
+        for v in _iter_bits(mask):
+            sources |= ctx.preds[v]
+        chain.append((mask, sources & ~mask))
+    return _phi_with_ctx(ctx, (1 << len(bit)) - 1, tuple(chain), {})
 
 
 def psi_bruteforce(vertex_set, knowledge) -> int:
@@ -353,7 +359,7 @@ def lbfs_background(g: UndirectedGraph, clique, knowledge) -> LbfsResult:
 def forbidden_prefixes(tree, clique) -> tuple:
     """Separators along the root path of ``clique``, a node of the rooted
     clique ``tree``, that sit inside it, as frozensets, smallest first; the
-    reference for ``counting._prefix_chains``.
+    reference for the chains of ``counting._group_table``.
 
     The distinct qualifying separators always form one strictly nested
     chain; anything else signals a broken clique tree.

@@ -19,6 +19,12 @@ def uccg_instance(g: UndirectedGraph, knowledge=None) -> MecInstance:
     return MecInstance(graph, BackgroundKnowledge(knowledge or ()))
 
 
+def within_recursion_bound(stats) -> bool:
+    """Distinct subproblems never exceed 2*cliques - 1, per component of a
+    ``SessionStats``."""
+    return all(c.distinct_subproblems <= 2 * c.maximal_cliques - 1 for c in stats.components)
+
+
 def random_uccg(seed: int, n_lo: int = 3, n_hi: int = 8) -> UndirectedGraph:
     n = random.Random(1_000_003 + seed).randint(n_lo, n_hi)
     return random_chordal(GenConfig(n=n, p_range=(0.2, 0.6), seed=seed))

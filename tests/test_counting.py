@@ -21,7 +21,6 @@ from amocount.counting import (
     count_session,
     count_uccg,
     _group_table,
-    _prefix_chains,
 )
 from amocount.generators import GenConfig, gen_amo_claims, random_chordal
 from amocount.graphs import (
@@ -62,7 +61,13 @@ from amocount.oracle import (
     psi_bruteforce,
     union_graph,
 )
-from conftest import random_chain_instance, random_claims, random_uccg, uccg_instance
+from conftest import (
+    random_chain_instance,
+    random_claims,
+    random_uccg,
+    uccg_instance,
+    within_recursion_bound,
+)
 
 PAW = UndirectedGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 SEVEN = UndirectedGraph(
@@ -542,7 +547,7 @@ def table_matches_full_sweep(g, knowledge, rng):
     for sub in _mask_components(nbr, (1 << g.n) - 1):
         cliques, parents, _ = _mcs_cliques(nbr, sub)
         cliques, parents = _reroot(cliques, parents, rng.randrange(len(cliques)))
-        sides, walked = _group_table(cliques, parents, preds, targets)
+        sides, _, walked = _group_table(cliques, parents, preds, targets)
         assert len(sides) == len(cliques)
         assert walked >= sum(map(len, sides))  # each link's pass reaches a clique
         for i, clique in enumerate(cliques):
@@ -868,9 +873,9 @@ class TestMaskCliqueTree:
                 assert root or (cliques, parents) == (base_cliques, base)
                 nodes = tuple(labels(c) for c in cliques)
                 tree = RootedCliqueTree(nodes, tuple(parents), 0)
-                chains = _prefix_chains(cliques, parents)
+                _, chains, _ = _group_table(cliques, parents, [0] * g.n, 0)
                 for i, node in enumerate(nodes):
-                    got = tuple(frozenset(labels(r)) for r in chains[i])
+                    got = tuple(frozenset(labels(r)) for r, _ in chains[i])
                     assert got == forbidden_prefixes(tree, node), (seed, sub, root, i)
 
     def test_subproblems_build_no_graph(self, monkeypatch):
@@ -1014,7 +1019,7 @@ class TestCountSession:
         assert comp.vertices == 7
         assert comp.maximal_cliques == 3
         assert comp.distinct_subproblems <= 2 * 3 - 1
-        assert res.stats.within_recursion_bound()
+        assert within_recursion_bound(res.stats)
         assert res.stats.clique_picks > 0
 
     def test_multi_component_product(self):
@@ -1049,10 +1054,10 @@ class TestCountSession:
         picks, walked = [], []
 
         def counted(*args):
-            sides, reached = inner(*args)
+            sides, chains, reached = inner(*args)
             picks.append(len(sides))
             walked.append(reached)
-            return sides, reached
+            return sides, chains, reached
 
         monkeypatch.setattr(counting_module, "_group_table", counted)
         stats = count_session(inst).stats
@@ -1073,7 +1078,7 @@ class TestCountSession:
         g = random_uccg(seed, 3, 9)
         k = random_claims(g, random.Random(80_000 + seed), "oriented")
         res = count_session(uccg_instance(g, k))
-        assert res.stats.within_recursion_bound()
+        assert within_recursion_bound(res.stats)
         for comp in res.stats.components:
             assert comp.distinct_subproblems <= 2 * comp.maximal_cliques - 1
 
@@ -1219,3 +1224,40 @@ class TestRecursionDepth:
         )
         before, after_session, after_uccg = map(int, out.stdout.split())
         assert after_session == before and after_uccg == before
+
+
+def threshold(k, top_first):
+    """The nested threshold graph T_k: from the edge 0-1, level j adds the
+    lone vertex 2j, then the hub 2j + 1 joined to every vertex so far.  It
+    has 2k + 2 vertices and largest clique k + 2.  ``top_first`` labels
+    vertex v as 2k + 1 - v, so the last hub comes first."""
+    n = 2 * k + 2
+    edges = [(0, 1)] + [(w, h) for h in range(3, n, 2) for w in range(h)]
+    if top_first:
+        edges = [(n - 1 - u, n - 1 - w) for u, w in edges]
+    return MecInstance(PartiallyDirectedGraph(n, edges), BackgroundKnowledge())
+
+
+class TestPrefixValuesOncePerTree:
+    """Each forbidden prefix's own count is made once per clique tree, so a
+    pick costs O(w) prefix-free counts, w the largest clique size, and the
+    work does not depend on the vertex labels."""
+
+    @pytest.mark.parametrize("k", [40, 80])
+    def test_threshold_graph_work_does_not_depend_on_labels(self, k, monkeypatch):
+        inner = counting_module._PermCounter.phi_empty
+        calls = [0]
+
+        def counted(self, x):
+            calls[0] += 1
+            return inner(self, x)
+
+        monkeypatch.setattr(counting_module._PermCounter, "phi_empty", counted)
+        built = count_session(threshold(k, False))
+        calls[0] = 0
+        top = count_session(threshold(k, True))
+        assert top.count == built.count > 0
+        assert top.stats == built.stats
+        # O(w) calls a pick, w = k + 2; recounting every prefix of each
+        # pick's chain makes about w**2 / 10 here
+        assert calls[0] <= 2 * (k + 2) * top.stats.clique_picks

@@ -29,9 +29,10 @@ MOVED = (
     "phi",
     "psi",
 )
-# Names deleted from the package: the chain type ``phi`` no longer needs and
-# the cap check that ``_PermCounter`` now makes alone.
-GONE = ("PrefixChain", "_checked_cap")
+# Names deleted from the package: the chain type ``phi`` no longer needs,
+# the cap check that ``_PermCounter`` now makes alone, and the chain pass
+# that ``_group_table``'s link loop now makes.
+GONE = ("PrefixChain", "_checked_cap", "_prefix_chains")
 
 
 def imported_modules(name):
@@ -74,6 +75,11 @@ def test_deleted_names_stay_deleted(name):
         if path.stem != "__init__":
             assert not hasattr(importlib.import_module(f"amocount.{path.stem}"), name), path.stem
     assert not hasattr(amocount, name)
+
+
+def test_session_stats_hold_no_test_only_check():
+    # the recursion-bound check is the tests' own helper (conftest.py)
+    assert not hasattr(amocount.SessionStats, "within_recursion_bound")
 
 
 def test_every_public_name_resolves():
