@@ -287,19 +287,24 @@ def _phi_with_ctx(ctx: _PermCounter, host: int, chain: tuple, known: dict) -> in
     the rest there is none.  So the count is ``phi_empty(host)`` minus
     own(R) * ``phi_empty(host & ~R)`` for each R that no claim enters from
     ``host``, and own(R) is the same sum over R and the prefixes below it.
-    ``known`` maps masks to their own() and is filled here, smallest first:
-    it may be shared by every chain whose prefixes below each R are the
-    same, as they are within one rooted clique tree.
+    ``known`` maps prefixes to their own() and is filled here, smallest
+    first, for the prefixes it lacks: it may be shared by every chain whose
+    prefixes below each R are the same, as they are within one rooted clique
+    tree.  ``host`` itself is not stored, since a maximal clique is never a
+    prefix of another clique's chain.
     """
     phi_empty = ctx.phi_empty
-    for d, h in enumerate([r for r, _ in chain] + [host]):
-        val = known.get(h)
-        if val is None:
+    for d, (h, _) in enumerate(chain):
+        if h not in known:
             val = phi_empty(h)
             for r, sources in chain[:d]:
                 if not sources & h:
                     val -= known[r] * phi_empty(h & ~r)
             known[h] = val
+    val = phi_empty(host)
+    for r, sources in chain:
+        if not sources & host:
+            val -= known[r] * phi_empty(host & ~r)
     return val
 
 
@@ -342,11 +347,13 @@ def _group_table(cliques: list, parents: list, preds, targets: int) -> tuple[lis
     the separators on its root path that lie inside it (the mask form of
     ``oracle.forbidden_prefixes``): its parent's chain cut to the clique,
     then its own separator, which holds all of them by the running
-    intersection property.
+    intersection property.  A chain is strictly nested, so when one prefix
+    lies inside the clique so do all smaller ones: the cut keeps a leading
+    slice of the parent's chain, found by walking back from its end.
     """
     m = len(cliques)
     below = [
-        c.bit_count() > 2 or any(preds[v] & c for v in _iter_bits(c & targets))
+        c.bit_count() > 2 or (c & targets and any(preds[v] & c for v in _iter_bits(c & targets)))
         for c in cliques
     ]  # then the number of such cliques in each subtree
     for i in range(m - 1, 0, -1):
@@ -360,10 +367,16 @@ def _group_table(cliques: list, parents: list, preds, targets: int) -> tuple[lis
         clique = cliques[i]
         sep = clique & cliques[p]
         ban = 0
-        for v in _iter_bits(sep & targets):
-            ban |= preds[v]
-        chain = tuple(e for e in chains[p] if not e[0] & ~clique)
-        chains[i] = chain if chain and chain[-1][0] == sep else chain + ((sep, ban & ~sep),)
+        inner = sep & targets
+        if inner:
+            for v in _iter_bits(inner):
+                ban |= preds[v]
+        chain = chains[p]
+        k = len(chain)
+        while k and chain[k - 1][0] & ~clique:  # nested, so the kept ones are a prefix
+            k -= 1
+        chain = chain[:k]
+        chains[i] = chain if k and chain[-1][0] == sep else chain + ((sep, ban & ~sep),)
         if below[i]:
             link = (i, sep, ban, i)
             links[p].append(link)

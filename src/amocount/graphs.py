@@ -291,6 +291,15 @@ def _mcs_cliques(nbr, sub) -> tuple[list, list, int]:
     w, which that set held from w on.  That set is Blair and Peyton's
     parent, so the parent clique holds all of the earlier neighbours.
 
+    The parent is found without walking the earlier neighbours.  Cliques
+    get their indices in numbering order, so the most recently numbered
+    earlier neighbour w was numbered into the clique of highest index among
+    them.  ``done[i]`` is the mask of the vertices numbered when clique i
+    closed, which grows with i; the first i whose ``done[i]`` holds all of
+    the earlier neighbours is the clique w was numbered into, and bisection
+    finds it in O(log) steps.  A vertex with one earlier neighbour reads its
+    clique off ``home`` instead.
+
     Each component of the searched graph is numbered completely before the
     search leaves it, and a failed check's vertex lies in the component
     being numbered, so a component is chordal exactly when it holds none of
@@ -302,6 +311,7 @@ def _mcs_cliques(nbr, sub) -> tuple[list, list, int]:
     cliques = []
     parents = []
     home = {}  # position -> index of the clique it was numbered into
+    done = []  # done[i]: the vertices numbered when clique i closed
     open_index = 0  # index the open clique will get
     current = 0
     up = None  # parent of the open clique
@@ -313,13 +323,22 @@ def _mcs_cliques(nbr, sub) -> tuple[list, list, int]:
         low = buckets[best] & -buckets[best]
         v = low.bit_length() - 1
         if best <= prev_card:
+            numbered = sub ^ unnumbered
             cliques.append(current)
             parents.append(up)
+            done.append(numbered)
             open_index += 1
-            earlier = nbr[v] & (sub ^ unnumbered)
+            earlier = nbr[v] & numbered
             current = low | earlier
             if earlier & (earlier - 1):
-                up = max(map(home.__getitem__, _iter_bits(earlier)))
+                lo, hi = 0, open_index - 1  # the first clique whose close numbered all of them
+                while lo < hi:
+                    mid = (lo + hi) >> 1
+                    if earlier & ~done[mid]:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                up = lo
                 if earlier & ~cliques[up]:
                     nonchordal |= low
             else:  # one earlier neighbour, or none (position -1) at a new component

@@ -268,28 +268,29 @@ def validate(instance: MecInstance) -> list[str]:
             msgs.append(f"knowledge claim {u}->{v} is not an edge of the graph")
 
     trees, nonchordal = g.undirected_forest()
-    comp_of = [0] * n
-    for ci, (comp, _, _) in enumerate(trees):
-        for v in _iter_bits(comp):
-            comp_of[v] = ci
+    for comp, _, _ in trees:
         if comp & nonchordal:
             msgs.append(
                 f"undirected component containing vertex {(comp & -comp).bit_length() - 1}"
                 " is not chordal"
             )
 
-    quotient_edges = set()
-    for u, v in sorted(dire):
-        if comp_of[u] == comp_of[v]:
-            msgs.append(
-                f"directed edge {u}->{v} joins two vertices of one undirected"
-                " component (semi-directed cycle)"
-            )
-        else:
-            quotient_edges.add((comp_of[u], comp_of[v]))
-
-    if not _is_acyclic(len(trees), quotient_edges):
-        msgs.append("directed edges form a cycle across undirected components")
+    if dire:  # with no directed edge there is nothing left to check
+        comp_of = [0] * n
+        for ci, (comp, _, _) in enumerate(trees):
+            for v in _iter_bits(comp):
+                comp_of[v] = ci
+        quotient_edges = set()
+        for u, v in sorted(dire):
+            if comp_of[u] == comp_of[v]:
+                msgs.append(
+                    f"directed edge {u}->{v} joins two vertices of one undirected"
+                    " component (semi-directed cycle)"
+                )
+            else:
+                quotient_edges.add((comp_of[u], comp_of[v]))
+        if not _is_acyclic(len(trees), quotient_edges):
+            msgs.append("directed edges form a cycle across undirected components")
     return msgs
 
 

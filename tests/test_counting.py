@@ -878,6 +878,38 @@ class TestMaskCliqueTree:
                     got = tuple(frozenset(labels(r)) for r, _ in chains[i])
                     assert got == forbidden_prefixes(tree, node), (seed, sub, root, i)
 
+    @pytest.mark.parametrize("seed", range(48))
+    def test_chains_are_nested_and_carry_their_claim_sources(self, seed):
+        # _group_table cuts a parent's chain to a clique by slicing it, which
+        # needs each chain strictly nested; _phi_with_ctx reads each entry's
+        # sources as the claim sources of R's members that lie outside R
+        # random chordal graphs rarely nest two separators, so a threshold
+        # graph with its top hub first, whose chains grow one per level, joins
+        rng = random.Random(43_000 + seed)
+        longest = with_sources = 0
+        for g in (random_uccg(seed, 6, 14), threshold(3 + seed % 4, True).graph.undirected_part()):
+            nbr, subs = connected_submasks(g, seed)
+            preds, targets = _claim_masks(g.bit, random_claims(g, rng, "oriented").pairs)
+            for sub in subs:
+                base_cliques, base, _ = _mcs_cliques(nbr, sub)
+                for root in range(len(base_cliques)):
+                    cliques, parents = _reroot(base_cliques, base, root)
+                    _, chains, _ = _group_table(cliques, parents, preds, targets)
+                    _, plain, _ = _group_table(cliques, parents, [0] * g.n, 0)
+                    for i, chain in enumerate(chains):
+                        masks = [r for r, _ in chain]
+                        assert masks == [r for r, _ in plain[i]], (seed, sub, root, i)
+                        for r, bigger in zip(masks, masks[1:] + [cliques[i]]):
+                            assert r and r != bigger and not r & ~bigger, (seed, sub, root, i)
+                        for r, sources in chain:
+                            outside = 0
+                            for v in _iter_bits(r):
+                                outside |= preds[v]
+                            assert sources == outside & ~r, (seed, sub, root, i, r)
+                            with_sources += sources != 0
+                        longest = max(longest, len(chain))
+        assert longest >= 3 and with_sources
+
     def test_subproblems_build_no_graph(self, monkeypatch):
         g = random_uccg(3, 12, 14)
         k = random_claims(g, random.Random(3), "oriented")

@@ -1,19 +1,25 @@
 """Undirected graph primitives: components, LBFS, chordality, clique trees."""
 
+import importlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import amocount
+from amocount.generators import GenConfig, random_chordal
 from amocount.graphs import (
     RootedCliqueTree,
     UndirectedGraph,
+    _iter_bits,
     _mcs_cliques,
     clique_tree,
     is_chordal,
     lbfs_order,
     maximal_cliques,
 )
+from amocount.instancefile import parse_instance_text
 from amocount.oracle import (
     _is_lbfs_ordering,
     _reroot,
@@ -350,3 +356,110 @@ class TestCliqueTree:
             assert sorted(t.nodes) == sorted(base.nodes)
             assert t.nodes[t.root] == c
             assert links(t) == links(base)
+
+
+def reference_mcs_cliques(nbr, sub):
+    """``_mcs_cliques`` with the parent found by walking every earlier
+    neighbour: the most recently numbered one's clique is the one with the
+    highest index (Blair and Peyton 1993).  Slow, and kept only as a
+    reference for the search's bisection over the numbered masks."""
+    buckets = [0] * (sub.bit_count() + 1)
+    buckets[0] = unnumbered = sub
+    best = 0
+    cliques, parents = [], []
+    home = {}
+    open_index = 0
+    current = 0
+    up = None
+    prev_card = -1
+    nonchordal = 0
+    while unnumbered:
+        while not buckets[best]:
+            best -= 1
+        low = buckets[best] & -buckets[best]
+        v = low.bit_length() - 1
+        if best <= prev_card:
+            cliques.append(current)
+            parents.append(up)
+            open_index += 1
+            earlier = nbr[v] & (sub ^ unnumbered)
+            current = low | earlier
+            if earlier & (earlier - 1):
+                up = max(map(home.__getitem__, _iter_bits(earlier)))
+                if earlier & ~cliques[up]:
+                    nonchordal |= low
+            else:
+                up = home.get(earlier.bit_length() - 1)
+        else:
+            if current & ~nbr[v]:
+                nonchordal |= low
+            current |= low
+        home[v] = open_index
+        prev_card = best
+        buckets[best] ^= low
+        unnumbered ^= low
+        rest = nbr[v] & unnumbered
+        w = best
+        while rest:
+            moving = buckets[w] & rest
+            if moving:
+                rest ^= moving
+                buckets[w] ^= moving
+                buckets[w + 1] |= moving
+            w -= 1
+        best += 1
+    cliques.append(current)
+    parents.append(up)
+    return cliques, parents, nonchordal
+
+
+def bisected_links(cliques, parents, nonchordal):
+    """``(clique, parent)`` for the cliques whose opening vertex had two or
+    more earlier neighbours, so that the search bisected for the parent; on
+    a chordal graph those neighbours are the separator."""
+    if nonchordal:
+        return []
+    return [
+        (j, p) for j, p in enumerate(parents)
+        if p is not None and (cliques[j] & cliques[p]).bit_count() > 1
+    ]
+
+
+class TestSearchParents:
+    """The search's parent lookup against the walk over every earlier
+    neighbour, on whole graphs and on random vertex subsets."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphs_and_submasks(self, seed):
+        rng = random.Random(5_100 + seed)
+        verdicts, far = set(), 0
+        for i in range(60):  # half drawn chordal, half from G(n, p)
+            n = rng.randint(1, 14)
+            if i % 2:
+                g = random_chordal(GenConfig(n=n, p_range=(0.1, 0.9), seed=rng.randrange(10**6)))
+            else:
+                p = rng.uniform(0.05, 0.9)
+                g = UndirectedGraph(
+                    n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+                )
+            full = (1 << n) - 1
+            for sub in (full, rng.randint(1, full), rng.randint(1, full)):
+                got = _mcs_cliques(g.nbr, sub)
+                assert got == reference_mcs_cliques(g.nbr, sub), (seed, i, g.edges(), sub)
+                verdicts.add(got[2] == 0)
+                far += sum(up != j - 1 for j, up in bisected_links(*got))
+        assert verdicts == {False, True}
+        assert far  # some bisection skipped back past the previous clique
+
+    @pytest.mark.parametrize("name", ["dense_amo", "sparse_long", "psi_wide"])
+    def test_benchmark_pools(self, name, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        bisected = 0
+        for text, _ in workloads.build(amocount, name, 1):
+            graph = parse_instance_text(text).instance.graph
+            nbr = graph.undirected_masks()
+            got = _mcs_cliques(nbr, (1 << graph.n) - 1)
+            assert got == reference_mcs_cliques(nbr, (1 << graph.n) - 1)
+            bisected += len(bisected_links(*got))
+        assert bisected
