@@ -230,7 +230,9 @@ class _PermCounter:
     vertex sets alone.
     """
 
-    __slots__ = ("cap", "preds", "targets", "_phi0", "_psi", "psi_evals", "phi0_evals")
+    __slots__ = (
+        "cap", "preds", "targets", "_phi0", "_psi", "_factorials", "psi_evals", "phi0_evals"
+    )
 
     def __init__(self, cap: int, preds, targets: int):
         if cap < 0:
@@ -240,6 +242,7 @@ class _PermCounter:
         self.targets = targets
         self._phi0 = {}
         self._psi = {}
+        self._factorials = [1]  # i! at index i, grown on demand
         self.psi_evals = 0
         self.phi0_evals = 0
 
@@ -258,12 +261,18 @@ class _PermCounter:
     def phi_empty(self, x: int) -> int:
         """Consistent permutations of the mask x, no prefix forbidden.
 
-        A mask with no claim target holds no claim, so it counts |x|! with
-        no cache lookup; only masks that hold a target are cached and
-        counted in ``phi0_evals``.
+        A mask with no claim target holds no claim, so it counts |x|!, read
+        from the counter's factorial table; only masks that hold a target
+        are cached and counted in ``phi0_evals``.
         """
         if not x & self.targets:
-            return math.factorial(x.bit_count())
+            try:
+                return self._factorials[x.bit_count()]
+            except IndexError:  # a mask larger than any before: extend the table
+                factorials = self._factorials
+                while len(factorials) <= x.bit_count():
+                    factorials.append(factorials[-1] * len(factorials))
+                return factorials[-1]
         val = self._phi0.get(x)
         if val is None:
             self.phi0_evals += 1

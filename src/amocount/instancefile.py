@@ -1,14 +1,19 @@
 """Self-describing instance files.
 
-A versioned JSON document with string vertex labels.  Arrays are serialized
-in sorted order so that serialize(parse(text)) reproduces the bytes of any
-canonically written file.
+A versioned JSON document with string vertex labels.  The canonical text
+of a document is defined as ``json.dumps(body, indent=2, sort_keys=True) +
+"\n"``, with the vertices and each edge array's rows in sorted order, so
+that serialize(parse(text)) reproduces the bytes of any canonically written
+file.  ``serialize_instance`` writes those bytes directly: with ``indent``
+set, ``json.dumps`` runs its pure-Python encoder, which is slow on the
+thousands of label pairs a large instance holds.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .graphs import _iter_bits
 from .mec import BackgroundKnowledge, MecInstance, PartiallyDirectedGraph
@@ -140,22 +145,40 @@ def load_instance(path) -> InstanceDocument:
 
 
 def serialize_instance(doc: InstanceDocument) -> str:
+    """The canonical text of ``doc``, written without the indenting
+    encoder on the arrays: each label is quoted once, and a row joins its
+    first label's half and its second label's half.  Only ``metadata``
+    goes through ``json.dumps``; nesting it one level deeper only indents
+    its lines, since JSON escapes every newline inside a string.
+    """
     labels = doc.labels
     g = doc.instance.graph
+    opens, closes = {}, {}
+    for label in labels:
+        quoted = _quote(label)
+        opens[label] = f"    [\n      {quoted},\n      "
+        closes[label] = f"{quoted}\n    ]"
+
+    def array(items):
+        return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+    def rows(pairs):  # sorted by label strings, which may repeat
+        return array([opens[a] + closes[b] for a, b in sorted(pairs)])
+
     undirected = []  # one row per edge u-v with u < v, read off the masks
     for u, mask in enumerate(g.undirected_masks()):
         label = labels[u]
-        undirected += [[label, labels[v]] for v in _iter_bits(mask >> u + 1 << u + 1)]
-    body = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "vertices": sorted(labels),
-        "undirected_edges": sorted(undirected),
-        "directed_edges": sorted([labels[u], labels[v]] for u, v in g.directed),
-        "knowledge": sorted([labels[u], labels[v]] for u, v in doc.instance.knowledge),
-        "metadata": doc.metadata,
+        undirected += [(label, labels[v]) for v in _iter_bits(mask >> u + 1 << u + 1)]
+    parts = {
+        "format": _quote(FORMAT_NAME),
+        "version": str(FORMAT_VERSION),
+        "vertices": array(["    " + _quote(label) for label in sorted(labels)]),
+        "undirected_edges": rows(undirected),
+        "directed_edges": rows((labels[u], labels[v]) for u, v in g.directed),
+        "knowledge": rows((labels[u], labels[v]) for u, v in doc.instance.knowledge),
+        "metadata": json.dumps(doc.metadata, indent=2, sort_keys=True).replace("\n", "\n  "),
     }
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    return "{\n" + ",\n".join(f'  "{key}": {parts[key]}' for key in sorted(parts)) + "\n}\n"
 
 
 def save_instance(doc: InstanceDocument, path):

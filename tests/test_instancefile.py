@@ -1,10 +1,13 @@
 """The JSON instance format: parsing, canonical serialization, diagnostics."""
 
+import importlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import amocount
 from amocount.instancefile import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -267,6 +270,101 @@ class TestSerialize:
         doc = InstanceDocument(labels, MecInstance(g, BackgroundKnowledge()))
         body = json.loads(serialize_instance(doc))
         assert body["undirected_edges"] == sorted([labels[u], labels[v]] for u, v in g.undirected)
+
+
+def reference_text(doc):
+    """The canonical text by its definition: the indenting JSON encoder on
+    the whole body."""
+    labels = doc.labels
+    g = doc.instance.graph
+    body = {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "vertices": sorted(labels),
+        "undirected_edges": sorted([labels[u], labels[v]] for u, v in g.undirected),
+        "directed_edges": sorted([labels[u], labels[v]] for u, v in g.directed),
+        "knowledge": sorted([labels[u], labels[v]] for u, v in doc.instance.knowledge),
+        "metadata": doc.metadata,
+    }
+    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII and an emoji (which
+# the encoder writes as a surrogate pair)
+LABEL_CHARS = 'ab"\\\n\t\x00/ \x7f\u00e9\u4e2d\U0001F600'
+
+
+def random_metadata(rng, depth=0):
+    """A JSON object, empty or nested up to three levels."""
+    meta = {}
+    for _ in range(rng.choice([0, 0, 1, 3]) if depth else rng.randint(0, 4)):
+        key = "".join(rng.choice(LABEL_CHARS) for _ in range(rng.randint(0, 3)))
+        kind = rng.randrange(7)
+        if kind == 0 and depth < 3:
+            meta[key] = random_metadata(rng, depth + 1)
+        elif kind == 1:
+            meta[key] = [rng.randint(-5, 5), rng.random(), None, True, []][: rng.randint(0, 5)]
+        elif kind == 2:
+            meta[key] = "".join(rng.choice(LABEL_CHARS) for _ in range(rng.randint(0, 5)))
+        else:
+            meta[key] = rng.choice([0, -3, 2.5, 1e-7, False, None, {}, [], 10**20])
+    return meta
+
+
+def random_document(seed):
+    """A document built directly, so its labels may repeat: labels out of
+    vertex order, with the characters JSON escapes, sometimes one vertex,
+    sometimes no directed edges or claims, and free-form metadata."""
+    rng = random.Random(seed)
+    n = 1 if seed % 10 == 0 else rng.randint(2, 14)
+    pool = rng.randint(1, 3) if seed % 7 == 0 else None  # few distinct labels
+
+    def label():
+        length = rng.randint(0, pool or 4)
+        return "".join(rng.choice(LABEL_CHARS[: pool or None]) for _ in range(length))
+
+    labels = tuple(label() for _ in range(n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    cut = rng.randint(0, len(pairs))
+    rank = list(range(n))
+    rng.shuffle(rank)  # directed edges follow a random order, so no cycle
+    directed = [(u, v) if rank[u] < rank[v] else (v, u) for u, v in pairs[cut:]]
+    directed = directed[: rng.choice([0, rng.randint(0, len(directed))])]
+    claims = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs if rng.random() < 0.15]
+    graph = PartiallyDirectedGraph(n, pairs[:cut], directed)
+    instance = MecInstance(graph, BackgroundKnowledge(claims))
+    return InstanceDocument(labels, instance, random_metadata(rng))
+
+
+class TestCanonicalBytes:
+    """The writer produces the bytes of the indenting JSON encoder on the
+    whole body without running it on the arrays."""
+
+    def test_random_documents(self):
+        shapes = set()
+        for seed in range(400):
+            doc = random_document(seed)
+            assert serialize_instance(doc) == reference_text(doc), seed
+            g = doc.instance.graph
+            shapes |= {
+                "one vertex" if g.n == 1 else "more",
+                "repeated labels" if len(set(doc.labels)) < g.n else "distinct labels",
+                "no directed edges" if not g.directed else "directed edges",
+                "no claims" if not doc.instance.knowledge else "claims",
+                "nested metadata" if any(type(v) is dict for v in doc.metadata.values())
+                else "empty metadata" if not doc.metadata else "flat metadata",
+            }
+        assert len(shapes) == 11  # every case above occurs
+
+    @pytest.mark.parametrize("name", ["dense_amo", "sparse_long", "psi_wide"])
+    def test_benchmark_pools_round_trip(self, name, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for text, _ in workloads.build(amocount, name, 1):
+            doc = parse_instance_text(text)
+            assert serialize_instance(doc) == text
+            assert reference_text(doc) == text
 
 
 class TestDefaultLabels:
