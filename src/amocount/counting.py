@@ -278,7 +278,10 @@ class _PermCounter:
             self.phi0_evals += 1
             vk = _claim_endpoints(self.preds, x, self.targets)
             n = x.bit_count()
-            val = math.perm(n, n - vk.bit_count()) * self.psi_value(tuple(_iter_bits(vk)))
+            # The key is built at its final size: a tuple grown by resizing
+            # is never taken from CPython's free lists but is pushed onto
+            # them when freed, and only a full collection empties them.
+            val = math.perm(n, n - vk.bit_count()) * self.psi_value(tuple([*_iter_bits(vk)]))
             self._phi0[x] = val
         return val
 

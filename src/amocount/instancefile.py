@@ -7,10 +7,21 @@ that serialize(parse(text)) reproduces the bytes of any canonically written
 file.  ``serialize_instance`` writes those bytes directly: with ``indent``
 set, ``json.dumps`` runs its pure-Python encoder, which is slow on the
 thousands of label pairs a large instance holds.
+
+``parse_instance_text`` pauses automatic garbage collection while it
+decodes the document and reads its rows, and restores the state it found
+when the decode ends, also on an error.  ``json.loads`` makes one list per
+edge row, and without the pause those lists start collector passes, some
+of them over the whole heap.  With the pause, the complete graph on 960
+vertices (0.46M edges) parses in 0.23 s instead of 0.48 s, and the one on
+1900 vertices (1.8M edges) in 0.96 s instead of 2.46 s (best of 3, CPython
+3.11.7 on a 2-vCPU VM).  Cyclic garbage that other threads make during a
+decode waits until the decode ends.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
@@ -105,11 +116,16 @@ def _raise_bad_pair(raw, key, label_ids):
     raise AssertionError(f"no bad item in '{key}'")
 
 
-def parse_instance_text(text: str) -> InstanceDocument:
+def _decode(text):
+    """The labels, undirected neighbour masks, directed pairs, claim pairs
+    and metadata of ``text``.  The decoded document dies on return, so no
+    row list of it outlives this call."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InstanceFormatError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise InstanceFormatError("document is nested too deeply to decode") from None
     _expect(isinstance(doc, dict), "document must be a JSON object")
     _expect(doc.get("format") == FORMAT_NAME, f"'format' must be '{FORMAT_NAME}'")
     _expect(doc.get("version") == FORMAT_VERSION, f"'version' must be {FORMAT_VERSION}")
@@ -127,6 +143,20 @@ def parse_instance_text(text: str) -> InstanceDocument:
     know = _label_pairs(doc.get("knowledge", []), "knowledge", label_ids)
     metadata = doc.get("metadata", {})
     _expect(isinstance(metadata, dict), "'metadata' must be an object")
+    return labels, und, dire, know, metadata
+
+
+def parse_instance_text(text: str) -> InstanceDocument:
+    # One list per edge row would wake the cyclic collector, whose passes
+    # scan the whole heap; the rows are freed by reference counting when
+    # _decode returns, and JSON holds no cycle, so pausing leaves no garbage.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        labels, und, dire, know, metadata = _decode(text)
+    finally:
+        if enabled:
+            gc.enable()
     try:
         graph = PartiallyDirectedGraph._from_masks(und, dire)
         knowledge = BackgroundKnowledge(know)

@@ -87,6 +87,16 @@ class TestCount:
         assert main([command, str(path)]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: not UTF-8 text: ")
 
+    @pytest.mark.parametrize("command", ["count", "validate", "oracle"])
+    def test_deeply_nested_file_is_an_input_error(self, command, tmp_path, capsys):
+        # json.loads raises RecursionError here; it is bad input, not a cap
+        path = tmp_path / "nested.json"
+        depth = 100_000
+        path.write_text('{"metadata": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+        assert main([command, str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "error: document is nested too deeply to decode\n"
+
     def test_deep_nesting_exits_like_a_cap(self, tmp_path, capsys):
         # the nested threshold graph T_40 with its top hub first: from the
         # edge 80-81, each even h below 80 is a hub joined to every vertex

@@ -1,5 +1,6 @@
 """The JSON instance format: parsing, canonical serialization, diagnostics."""
 
+import gc
 import importlib
 import json
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import amocount
+from amocount.generators import GenConfig, random_chordal
 from amocount.instancefile import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -137,6 +139,68 @@ class TestParse:
     def test_non_object_document(self):
         with pytest.raises(InstanceFormatError):
             parse_instance_text("[1, 2]")
+
+
+DEEP = '{"metadata": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+class TestCollectorPause:
+    """Parsing pauses automatic collection for the decode only and leaves
+    the collector as it found it, on every path."""
+
+    @pytest.fixture
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "source,error",
+        [
+            (text(), None),
+            ('{"format": \n!', "line 2"),
+            (text(version=99), "'version'"),
+            (text(undirected_edges=[["a", "z"]]), "unknown label 'z'"),
+            (text(knowledge=[["a", "a"]]), "self-loop"),
+            (DEEP, "nested too deeply"),
+        ],
+        ids=["good", "bad-json", "version", "unknown-label", "self-loop", "nesting"],
+    )
+    def test_collector_state_is_restored(self, enabled, source, error, restore_gc):
+        gc.enable() if enabled else gc.disable()
+        if error is None:
+            parse_instance_text(source)
+        else:
+            with pytest.raises(InstanceFormatError, match=error):
+                parse_instance_text(source)
+        assert gc.isenabled() is enabled
+
+    def test_edge_rows_wake_no_collection(self, restore_gc):
+        # about 35 000 edge rows; without the pause the decode's row lists
+        # start about 50 collections
+        g = random_chordal(GenConfig(n=300, p_range=(0.05, 0.05), seed=3))
+        instance = MecInstance(PartiallyDirectedGraph(g.n, g.edges()), BackgroundKnowledge())
+        source = serialize_instance(InstanceDocument(default_labels(g.n), instance))
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            doc = parse_instance_text(source)
+        finally:
+            gc.callbacks.remove(record)
+        assert doc.instance.graph.undirected_masks() == instance.graph.undirected_masks()
+        assert starts == []
+        assert gc.isenabled()
 
 
 def seeded_document(seed):
