@@ -3,8 +3,6 @@
 __version__ = "0.1.0"
 
 from .counting import (
-    DEFAULT_PERMUTATION_CAP,
-    DownSetBudgetError,
     PermutationCapError,
     SessionResult,
     SessionStats,
@@ -49,8 +47,6 @@ __all__ = [
     "__version__",
     "BackgroundKnowledge",
     "DEFAULT_ORACLE_CAP",
-    "DEFAULT_PERMUTATION_CAP",
-    "DownSetBudgetError",
     "GenConfig",
     "GenerationError",
     "InvalidInstanceError",

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .counting import DEFAULT_PERMUTATION_CAP, count_session
+from .counting import count_session
 from .generators import (
     GenConfig,
     GenerationError,
@@ -68,9 +68,9 @@ def make_instance(n: int, k: int | None, seed: int):
     return MecInstance(graph, knowledge), g, info["p"]
 
 
-def time_count(instance: MecInstance, *, psi_cap: int = DEFAULT_PERMUTATION_CAP):
+def time_count(instance: MecInstance):
     t0 = time.perf_counter()
-    result = count_session(instance, psi_cap=psi_cap)
+    result = count_session(instance)
     dt = (time.perf_counter() - t0) * 1000.0
     return result, dt
 
@@ -116,10 +116,7 @@ def _agg_path(out_csv) -> Path:
     return p.with_name(p.stem + "_agg" + p.suffix)
 
 
-def run_bench(
-    n_list, k_list, reps: int, seed: int, out_csv, *, psi_cap: int = DEFAULT_PERMUTATION_CAP,
-    log=None,
-):
+def run_bench(n_list, k_list, reps: int, seed: int, out_csv, *, log=None):
     """Time ``reps`` seeded instances per (n, k) cell.
 
     Returns ``(records, aggregates, failures)``: one row per timed instance,
@@ -128,7 +125,7 @@ def run_bench(
 
     def measure(n, k, s):
         instance, _, _ = make_instance(n, k, s)
-        result, dt = time_count(instance, psi_cap=psi_cap)
+        result, dt = time_count(instance)
         digits = len(str(result.count))
         row = (n, k, len(instance.knowledge), s, dt, digits, int(result.count == 0), __version__)
         return dict(zip(CSV_FIELDS, row)), f"{dt:.1f} ms, {digits} digits"
@@ -154,10 +151,7 @@ def run_bench(
     return records, aggregates, failures
 
 
-def run_pair_comparison(
-    n_list, k_list, pairs: int, seed: int, out_csv, *, psi_cap: int = DEFAULT_PERMUTATION_CAP,
-    log=None,
-):
+def run_pair_comparison(n_list, k_list, pairs: int, seed: int, out_csv, *, log=None):
     """Compare each base knowledge set against its grown superset.
 
     Draw i takes ``n_list[i % N]`` and ``k_list[(i + i // L) % K]``, where N
@@ -174,7 +168,7 @@ def run_pair_comparison(
     """
 
     def median_run(instance):
-        runs = [time_count(instance, psi_cap=psi_cap) for _ in range(PAIR_REPS)]
+        runs = [time_count(instance) for _ in range(PAIR_REPS)]
         return runs[0][0], statistics.median(dt for _, dt in runs)
 
     def measure(n, k, s):

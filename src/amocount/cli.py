@@ -2,27 +2,21 @@
 
 Exit codes: 0 success, 1 comparison mismatch or partial benchmark failure,
 2 parse or validation error or a file that cannot be read or written, 3
-permutation/oracle cap, down-set budget or recursion limit exceeded, 4
-generation failure.  The AMOCOUNT_PSI_CAP environment variable sets the
-default permutation cap of count, oracle and bench, and is read only by
-them; --psi-cap overrides it.  A cap must be a nonnegative integer.
+permutation count past its down-set budget, oracle cap or recursion limit
+exceeded, 4 generation failure.  The permutation count of a claim part is
+bounded by the work it does, not by the part's size: it stops once it has
+built ``counting.DOWN_SET_BUDGET`` down-sets, and no option changes that.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
 from . import __version__
 from .bench import make_instance, run_bench, run_pair_comparison
-from .counting import (
-    DEFAULT_PERMUTATION_CAP,
-    DownSetBudgetError,
-    PermutationCapError,
-    count_session,
-)
+from .counting import PermutationCapError, count_session
 from .generators import GenerationError
 from .instancefile import (
     InstanceDocument,
@@ -40,8 +34,6 @@ EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
 EXIT_GENERATION = 4
-
-PSI_CAP_ENV = "AMOCOUNT_PSI_CAP"
 
 
 def _int_at_least(lo: int, what: str):
@@ -62,20 +54,6 @@ def _int_at_least(lo: int, what: str):
 
 _cap = _int_at_least(0, "a nonnegative integer")
 _positive = _int_at_least(1, "a positive integer")
-
-
-def _default_psi_cap() -> int:
-    raw = os.environ.get(PSI_CAP_ENV)
-    if raw is None:
-        return DEFAULT_PERMUTATION_CAP
-    try:
-        return _cap(raw)
-    except argparse.ArgumentTypeError:
-        print(
-            f"warning: ignoring {PSI_CAP_ENV}={raw!r}, not a nonnegative integer",
-            file=sys.stderr,
-        )
-        return DEFAULT_PERMUTATION_CAP
 
 
 def _int_list_at_least(lo: int, what: str):
@@ -118,7 +96,7 @@ def _print_stats(result, elapsed_ms):
 def cmd_count(args) -> int:
     doc = load_instance(args.instance)
     t0 = time.perf_counter()
-    result = count_session(doc.instance, psi_cap=args.psi_cap)
+    result = count_session(doc.instance)
     elapsed = (time.perf_counter() - t0) * 1000.0
     print(result.count)
     if args.stats:
@@ -142,7 +120,7 @@ def cmd_oracle(args) -> int:
     amos = enumerate_amos(doc.instance.graph, doc.instance.knowledge, cap=args.oracle_cap)
     print(len(amos))
     if args.compare:
-        engine = count_session(doc.instance, psi_cap=args.psi_cap).count
+        engine = count_session(doc.instance).count
         if engine != len(amos):
             print(f"mismatch: engine={engine} oracle={len(amos)}", file=sys.stderr)
             return EXIT_MISMATCH
@@ -181,7 +159,6 @@ def cmd_bench(args) -> int:
             args.pairs,
             args.seed,
             args.out,
-            psi_cap=args.psi_cap,
             log=log,
         )
         print(f"{len(rows)} comparison rows -> {args.out}")
@@ -192,7 +169,6 @@ def cmd_bench(args) -> int:
             args.reps,
             args.seed,
             args.out,
-            psi_cap=args.psi_cap,
             log=log,
         )
         print(f"{len(records)} runs -> {args.out}")
@@ -209,12 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cap_kwargs = dict(type=_cap, default=None, metavar="N")  # main fills in the default
-
     p = sub.add_parser("count", help="count an instance file exactly")
     p.add_argument("instance")
     p.add_argument("--stats", action="store_true", help="print session statistics to stderr")
-    p.add_argument("--psi-cap", **cap_kwargs)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("validate", help="check an instance file")
@@ -225,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--compare", action="store_true", help="also run the engine and compare")
     p.add_argument("--oracle-cap", type=_cap, default=DEFAULT_ORACLE_CAP, metavar="N")
-    p.add_argument("--psi-cap", **cap_kwargs)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
@@ -258,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--table1", action="store_true", help="base-vs-grown knowledge comparison mode")
-    p.add_argument("--psi-cap", **cap_kwargs)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_bench)
     return parser
@@ -266,15 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # only count, oracle and bench take a cap, so only they read the variable
-    if getattr(args, "psi_cap", 0) is None:
-        args.psi_cap = _default_psi_cap()
     try:
         return args.func(args)
     except (InstanceFormatError, InvalidInstanceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except (PermutationCapError, DownSetBudgetError, OracleCapError, RecursionError) as e:
+    except (PermutationCapError, OracleCapError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
     except GenerationError as e:

@@ -38,33 +38,22 @@ from .graphs import (
 )
 from .mec import BackgroundKnowledge, InvalidInstanceError, MecInstance, validate
 
-DEFAULT_PERMUTATION_CAP = 20
-# Most down-sets one layer of ``_down_set_count`` may hold.  A part of m
-# vertices has at most C(m, m // 2) down-sets of one size, C(20, 10) =
-# 184,756 under the default cap, so only a raised cap can reach it.
-DOWN_SET_BUDGET = 250_000
+# Most down-sets ``_down_set_count`` may build, summed over its layers, for
+# one claim part.  A part of m vertices has at most 2^m down-sets, one per
+# subset of it, so every part of up to 20 vertices counts within it.  It is
+# no larger than that, because a refused part builds this many first.
+DOWN_SET_BUDGET = 1 << 20
 
 
 class PermutationCapError(RuntimeError):
-    """Raised when knowledge touches more vertices of one clique than the cap."""
-
-    def __init__(self, size: int, cap: int):
-        super().__init__(
-            f"knowledge touches {size} vertices inside one clique; permutation"
-            f" counting is capped at {cap} (raise the cap to proceed)"
-        )
-        self.size = size
-        self.cap = cap
-
-
-class DownSetBudgetError(RuntimeError):
-    """Raised when counting one claim part's orders needs more down-sets of
-    one size than ``DOWN_SET_BUDGET``."""
+    """Raised when counting one claim part's orders needs more than
+    ``DOWN_SET_BUDGET`` down-sets.  ``size`` is the part's vertex count and
+    ``budget`` the budget it passed."""
 
     def __init__(self, size: int, budget: int):
         super().__init__(
-            f"a claim part of {size} vertices needs more than {budget} down-sets"
-            " of one size to count (lower the cap or the claims it touches)"
+            f"counting the orders of a claim part of {size} vertices needs more"
+            f" than {budget} down-sets"
         )
         self.size = size
         self.budget = budget
@@ -197,12 +186,16 @@ def _down_set_count(pred, part: int) -> int:
     holding every claim source of each of their members: layer t maps each
     down-set of size t to the number of orders that build it, and only the
     current layer is kept.  A claim cycle leaves no down-set of full size,
-    so the count is 0.  A layer may hold at most ``DOWN_SET_BUDGET`` states;
-    past that ``DownSetBudgetError`` is raised rather than running out of
-    memory.
+    so the count is 0.  The down-sets built are summed over the layers, and
+    once the sum passes ``DOWN_SET_BUDGET`` while a layer grows,
+    ``PermutationCapError`` is raised, so the time and memory spent before a
+    refusal are bounded by the budget too.  Each down-set built is a
+    distinct nonempty subset of the part, so a part of m vertices builds at
+    most 2^m - 1 of them, and no part of 20 or fewer vertices is refused.
     """
     steps = [(1 << i, pred[i]) for i in _iter_bits(part)]
     layer = {0: 1}
+    room = DOWN_SET_BUDGET
     for _ in steps:
         grown = {}
         get = grown.get
@@ -212,10 +205,11 @@ def _down_set_count(pred, part: int) -> int:
                 if b & rest and not p & rest:
                     key = done | b
                     grown[key] = get(key, 0) + ways
-            if len(grown) > DOWN_SET_BUDGET:
-                raise DownSetBudgetError(len(steps), DOWN_SET_BUDGET)
+            if len(grown) > room:
+                raise PermutationCapError(len(steps), DOWN_SET_BUDGET)
         if not grown:
             return 0
+        room -= len(grown)
         layer = grown
     return layer[part]
 
@@ -227,17 +221,14 @@ class _PermCounter:
 
     The claims stay fixed for the counter's whole life, and every query
     concerns them restricted to some vertex mask, so cache keys can be
-    vertex sets alone.
+    vertex sets alone.  No endpoint set is refused for its size: claim trees
+    count in O(m^2), and only the down-set count of a part that is not a
+    tree can fail, once it passes ``DOWN_SET_BUDGET``.
     """
 
-    __slots__ = (
-        "cap", "preds", "targets", "_phi0", "_psi", "_factorials", "psi_evals", "phi0_evals"
-    )
+    __slots__ = ("preds", "targets", "_phi0", "_psi", "_factorials", "psi_evals", "phi0_evals")
 
-    def __init__(self, cap: int, preds, targets: int):
-        if cap < 0:
-            raise ValueError(f"permutation cap must be nonnegative, got {cap}")
-        self.cap = cap
+    def __init__(self, preds, targets: int):
         self.preds = preds
         self.targets = targets
         self._phi0 = {}
@@ -251,8 +242,6 @@ class _PermCounter:
         host positions."""
         val = self._psi.get(vk)
         if val is None:
-            if len(vk) > self.cap:
-                raise PermutationCapError(len(vk), self.cap)
             self.psi_evals += 1
             val = _linear_extension_count(vk, self.preds)
             self._psi[vk] = val
@@ -481,8 +470,8 @@ class CountingSession:
     claim set is unsound.
     """
 
-    def __init__(self, preds, targets: int, *, psi_cap: int = DEFAULT_PERMUTATION_CAP):
-        self.ctx = _PermCounter(psi_cap, preds, targets)
+    def __init__(self, preds, targets: int):
+        self.ctx = _PermCounter(preds, targets)
         self.memo = {}
         self.clique_picks = 0
         self.walked_cliques = 0
@@ -561,7 +550,7 @@ class CountingSession:
         )
 
 
-def count_uccg(g: UndirectedGraph, knowledge, *, psi_cap: int = DEFAULT_PERMUTATION_CAP) -> int:
+def count_uccg(g: UndirectedGraph, knowledge) -> int:
     """Count the acyclic moral orientations of a connected chordal graph."""
     pairs = _pairs_of(knowledge)
     for u, v in pairs:
@@ -574,13 +563,11 @@ def count_uccg(g: UndirectedGraph, knowledge, *, psi_cap: int = DEFAULT_PERMUTAT
         raise ValueError("clique tree requires a connected graph")
     if nonchordal:
         raise ValueError("graph is not chordal")
-    session = CountingSession(*_claim_masks(g.bit, pairs), psi_cap=psi_cap)
+    session = CountingSession(*_claim_masks(g.bit, pairs))
     return session._count((1 << g.n) - 1, (cliques, parents))
 
 
-def count_session(
-    instance: MecInstance, *, psi_cap: int = DEFAULT_PERMUTATION_CAP
-) -> SessionResult:
+def count_session(instance: MecInstance) -> SessionResult:
     """Validate, then count an instance with one shared memo and caches.
 
     Raises InvalidInstanceError when validation fails.  Returns the exact
@@ -590,7 +577,7 @@ def count_session(
     # Vertex v holds bit v, so the masks of all components share one bit
     # space and can share the memo soundly.
     bit = {v: 1 << v for v in range(graph.n)}
-    session = CountingSession(*_claim_masks(bit, instance.knowledge.pairs), psi_cap=psi_cap)
+    session = CountingSession(*_claim_masks(bit, instance.knowledge.pairs))
     violations = validate(instance)
     if violations:
         raise InvalidInstanceError(violations)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .counting import DEFAULT_PERMUTATION_CAP, _PermCounter, _pairs_of, _phi_with_ctx
+from .counting import _PermCounter, _pairs_of, _phi_with_ctx
 from .graphs import (
     UndirectedGraph,
     _claim_masks,
@@ -240,7 +240,7 @@ def union_graph(orientations) -> PartiallyDirectedGraph:
     return PartiallyDirectedGraph(n, undirected, directed)
 
 
-def _perm_counter(vertex_set, knowledge, psi_cap: int) -> tuple[_PermCounter, dict]:
+def _perm_counter(vertex_set, knowledge) -> tuple[_PermCounter, dict]:
     """A ``_PermCounter`` over ``vertex_set``, whose i-th smallest member
     holds bit i, and the map from members to bits; every claim must lie
     inside the set."""
@@ -249,20 +249,20 @@ def _perm_counter(vertex_set, knowledge, psi_cap: int) -> tuple[_PermCounter, di
     for u, v in pairs:
         if u not in bit or v not in bit:
             raise ValueError(f"claim {u}->{v} has an endpoint outside the vertex set")
-    return _PermCounter(psi_cap, *_claim_masks(bit, pairs)), bit
+    return _PermCounter(*_claim_masks(bit, pairs)), bit
 
 
-def psi(vertex_set, knowledge, *, psi_cap: int = DEFAULT_PERMUTATION_CAP) -> int:
+def psi(vertex_set, knowledge) -> int:
     """Number of permutations of ``vertex_set`` consistent with the claims."""
-    ctx, bit = _perm_counter(vertex_set, knowledge, psi_cap)
+    ctx, bit = _perm_counter(vertex_set, knowledge)
     return ctx.psi_value(tuple(range(len(bit))))
 
 
-def phi(vertex_set, chain, knowledge, *, psi_cap: int = DEFAULT_PERMUTATION_CAP) -> int:
+def phi(vertex_set, chain, knowledge) -> int:
     """Consistent permutations of ``vertex_set`` that start with no set of
     ``chain``: nonempty sets, each strictly inside the next and the last
     strictly inside ``vertex_set``."""
-    ctx, bit = _perm_counter(vertex_set, knowledge, psi_cap)
+    ctx, bit = _perm_counter(vertex_set, knowledge)
     sets = [frozenset(r) for r in chain]
     if sets and not sets[0]:
         raise ValueError("forbidden prefix must not be empty")

@@ -1,4 +1,4 @@
-"""Release gate: thirteen end-to-end checks with pinned tolerances.
+"""Release gate: fourteen end-to-end checks with pinned tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one summary line
 per check.  Every expected number here was produced by the brute-force
@@ -16,7 +16,13 @@ import time
 
 from amocount.bench import derived_seed, make_instance, run_bench, time_count
 from amocount.counting import CountingSession, count_session, count_uccg
-from amocount.generators import GenConfig, gen_background, grow_background, random_chordal
+from amocount.generators import (
+    GenConfig,
+    gen_amo_claims,
+    gen_background,
+    grow_background,
+    random_chordal,
+)
 from amocount.graphs import (
     UndirectedGraph,
     _claim_masks,
@@ -445,7 +451,7 @@ def test_psi_heavy_counts_obey_edge_split_and_monotonicity():
                 for u, v in itertools.combinations(c, 2)
                 if frozenset((u, v)) not in claimed
             ]
-            # both ends touched; one end touched; neither (at most 20 touched)
+            # both ends touched; one end touched; neither
             for ends in (2, 1, 0):
                 u, v = rng.choice([e for e in free if len(touched & set(e)) == ends])
                 assert base == count(claims | {(u, v)}) + count(claims | {(v, u)}), seed
@@ -465,3 +471,36 @@ def test_psi_heavy_counts_obey_edge_split_and_monotonicity():
         "identities at scale",
         f"{splits} edge splits and {grown} grown claims on 6 two-clique instances",
     )
+
+
+def test_wide_claim_parts_obey_edge_split():
+    """count(K) = count(K + u->v) + count(K + v->u) for an undirected u-v
+    outside K, on draws whose claims touch 21 to 57 vertices of one clique.
+
+    A draw takes ``random.Random(7000 + s)``: n in 20..90, an edge
+    probability p in 0.1..0.4, a ``random_chordal`` graph at that p and
+    seed s, and 12, 40 or 200 ``gen_amo_claims`` claims.  These five seeds
+    cover the three claim counts.
+    """
+    splits = 0
+    for s in (18, 51, 86, 53, 194):
+        rng = random.Random(7000 + s)
+        n = rng.randint(20, 90)
+        p = rng.uniform(0.1, 0.4)
+        g = random_chordal(GenConfig(n, p_range=(p, p), seed=s))
+        claims = gen_amo_claims(g, rng.choice([12, 40, 200]), s).pairs
+        graph = PartiallyDirectedGraph(n, g.edges())
+
+        def count(k):
+            return count_session(MecInstance(graph, BackgroundKnowledge(k))).count
+
+        assert max_clique_knowledge(MecInstance(graph, BackgroundKnowledge(claims))) > 20, s
+        base = count(claims)
+        assert base > 0, s
+        claimed = {frozenset(e) for e in claims}
+        touched = {v for e in claims for v in e}
+        free = [e for e in g.edges() if frozenset(e) not in claimed and set(e) <= touched]
+        for u, v in random.Random(s).sample(free, 3):
+            assert base == count(claims | {(u, v)}) + count(claims | {(v, u)}), (s, u, v)
+            splits += 1
+    report("wide claim parts", f"{splits} edge splits on 5 draws past 20 touched vertices")

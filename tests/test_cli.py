@@ -1,4 +1,4 @@
-"""Command-line surface: subcommands, exit codes, the cap environment knob."""
+"""Command-line surface: subcommands, usage errors and exit codes."""
 
 import csv
 import json
@@ -15,7 +15,6 @@ from amocount.cli import (
     EXIT_INVALID,
     EXIT_MISMATCH,
     EXIT_OK,
-    PSI_CAP_ENV,
     main,
 )
 from amocount.instancefile import FORMAT_NAME, FORMAT_VERSION
@@ -186,79 +185,10 @@ class TestOracle:
 
 
 class TestPsiCap:
-    def complete4(self, tmp_path):
-        return write(
-            tmp_path,
-            "k4.json",
-            {
-                "format": FORMAT_NAME,
-                "version": FORMAT_VERSION,
-                "vertices": ["a", "b", "c", "d"],
-                "undirected_edges": [
-                    ["a", "b"], ["a", "c"], ["a", "d"],
-                    ["b", "c"], ["b", "d"], ["c", "d"],
-                ],
-                "knowledge": [["a", "b"], ["b", "c"], ["c", "d"]],
-            },
-        )
-
-    def test_flag_caps_permutation_counting(self, tmp_path):
-        path = self.complete4(tmp_path)
-        assert main(["count", path]) == EXIT_OK
-        assert main(["count", path, "--psi-cap", "3"]) == EXIT_CAP
-
-    def test_environment_variable(self, tmp_path, monkeypatch):
-        path = self.complete4(tmp_path)
-        monkeypatch.setenv(PSI_CAP_ENV, "3")
-        assert main(["count", path]) == EXIT_CAP
-        # an explicit flag wins over the environment
-        assert main(["count", path, "--psi-cap", "20"]) == EXIT_OK
-
-    def test_garbage_environment_value_is_ignored(self, tmp_path, monkeypatch, capsys):
-        path = self.complete4(tmp_path)
-        monkeypatch.setenv(PSI_CAP_ENV, "not-a-number")
-        assert main(["count", path]) == EXIT_OK
-        assert "ignoring" in capsys.readouterr().err
-
-    def test_only_commands_that_take_a_cap_read_the_environment(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv(PSI_CAP_ENV, "x")
-        path = paw_instance(tmp_path)
-        out = str(tmp_path / "gen.json")
-        assert main(["gen", "--n", "5", "--seed", "1", "--out", out]) == EXIT_OK
-        assert main(["validate", path]) == EXIT_OK
-        with pytest.raises(SystemExit):
-            main(["--version"])
-        assert capsys.readouterr().err == ""
-        assert main(["count", path]) == EXIT_OK
-        assert "ignoring" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", [["--psi-cap", "-1"], ["--psi-cap=-2"], ["--psi-cap", "x"]])
-    def test_a_negative_flag_is_a_usage_error(self, tmp_path, capsys, flag):
-        path = paw_instance(tmp_path)
-        with pytest.raises(SystemExit) as e:
-            main(["count", path, *flag])
-        assert e.value.code == 2  # argparse's usage error
-        assert "nonnegative" in capsys.readouterr().err
-
-    def test_a_zero_flag_counts_a_claim_free_instance(self, tmp_path, capsys):
-        path = paw_instance(tmp_path)
-        assert main(["count", path, "--psi-cap", "0"]) == EXIT_OK
-        assert capsys.readouterr().out.strip() == "8"
-
-    def test_negative_environment_value_is_ignored(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(PSI_CAP_ENV, "-2")
-        assert main(["count", paw_instance(tmp_path)]) == EXIT_OK
-        out = capsys.readouterr()
-        assert out.out.strip() == "8"
-        assert "ignoring" in out.err
-        # the default cap of 20 is back, so the four claim-touched vertices fit
-        assert main(["count", self.complete4(tmp_path)]) == EXIT_OK
-
     def test_the_down_set_budget_exits_like_the_cap(self, tmp_path, monkeypatch, capsys):
         # a and b both precede c and d: the claims hold a cycle of links, so
-        # the down-set DP counts them, and its first layer holds {a} and {b}
+        # the down-set DP counts them, and its layers hold 2, 1, 2 and 1
+        # down-sets
         path = write(
             tmp_path,
             "k4_square.json",
@@ -275,7 +205,8 @@ class TestPsiCap:
         )
         assert main(["count", path]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "4"
-        monkeypatch.setattr(amocount.counting, "DOWN_SET_BUDGET", 1)
+        # their sum passes a budget of 3, which no layer passes alone
+        monkeypatch.setattr(amocount.counting, "DOWN_SET_BUDGET", 3)
         assert main(["count", path]) == EXIT_CAP
         assert "down-sets" in capsys.readouterr().err
 

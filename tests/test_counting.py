@@ -16,7 +16,7 @@ import amocount.graphs as graphs_module
 import amocount.mec as mec_module
 import amocount.oracle as oracle_module
 from amocount.counting import (
-    DEFAULT_PERMUTATION_CAP,
+    DOWN_SET_BUDGET,
     CountingSession,
     PermutationCapError,
     count_session,
@@ -121,20 +121,9 @@ class TestPsi:
         assert psi(frozenset({0, 1}), BackgroundKnowledge([(0, 1), (1, 0)])) == 0
 
     def test_cap(self):
-        big = frozenset(range(DEFAULT_PERMUTATION_CAP + 1))
-        with pytest.raises(PermutationCapError) as e:
-            psi(big, BackgroundKnowledge.empty())
-        assert e.value.size == DEFAULT_PERMUTATION_CAP + 1
-        assert e.value.cap == DEFAULT_PERMUTATION_CAP
-        # a raised cap unblocks the same call
-        assert psi(frozenset(range(4)), BackgroundKnowledge.empty(), psi_cap=4) == 24
-        with pytest.raises(PermutationCapError):
-            psi(frozenset(range(5)), BackgroundKnowledge.empty(), psi_cap=4)
-
-    def test_rejects_a_negative_cap(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            psi(frozenset(), BackgroundKnowledge.empty(), psi_cap=-1)
-        assert psi(frozenset(), BackgroundKnowledge.empty(), psi_cap=0) == 1
+        # the only cap is the down-set budget, which claim-free vertices
+        # never reach, however many there are
+        assert psi(frozenset(range(21)), BackgroundKnowledge.empty()) == math.factorial(21)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_enumeration(self, seed):
@@ -201,16 +190,14 @@ class TestPsiSplit:
         expected = math.factorial(40)
         for length in lengths:
             expected //= math.factorial(length)
-        assert psi(frozenset(range(40)), k, psi_cap=40) == expected
+        assert psi(frozenset(range(40)), k) == expected
 
-    def test_cap_counts_every_touched_vertex_not_each_component(self):
+    def test_seven_chains_of_three_count_past_twenty_vertices(self):
+        # 21 claim-touched vertices in one clique: tree parts count at any size
         k = BackgroundKnowledge(disjoint_chains([3] * 7))
-        with pytest.raises(PermutationCapError) as e:
-            psi(frozenset(range(21)), k)
-        assert (e.value.size, e.value.cap) == (21, DEFAULT_PERMUTATION_CAP)
-        with pytest.raises(PermutationCapError) as e:
-            count_session(uccg_instance(complete(21), k))
-        assert (e.value.size, e.value.cap) == (21, DEFAULT_PERMUTATION_CAP)
+        expected = math.factorial(21) // math.factorial(3) ** 7
+        assert psi(frozenset(range(21)), k) == expected
+        assert count_session(uccg_instance(complete(21), k)).count == expected
 
 
 def random_polytree(rng, vertices):
@@ -282,7 +269,7 @@ class TestPsiTrees:
         # claims 0 -> 1 <- 2 -> 3 <- ... -> 39
         k = BackgroundKnowledge((i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(39))
         assert [euler_zigzag(m) for m in range(1, 7)] == [1, 1, 2, 5, 16, 61]
-        assert psi(frozenset(range(40)), k, psi_cap=40) == euler_zigzag(40)
+        assert psi(frozenset(range(40)), k) == euler_zigzag(40)
 
     def test_a_transitive_triangle_is_not_a_tree(self):
         k = BackgroundKnowledge([(0, 1), (1, 2), (0, 2)])
@@ -300,17 +287,20 @@ class TestPsiTrees:
 
     def test_the_down_set_budget_fails_loudly(self, monkeypatch):
         # 0 and 1 both precede 2 and 3: a four-cycle of links, not a tree,
-        # whose first layer holds the two down-sets {0} and {1}
+        # whose layers hold 2, 1, 2 and 1 down-sets.  No layer passes a
+        # budget of 3, but their sum does.
         k = BackgroundKnowledge([(0, 2), (1, 2), (0, 3), (1, 3)])
         assert psi(frozenset(range(4)), k) == 4
-        monkeypatch.setattr(counting_module, "DOWN_SET_BUDGET", 1)
-        with pytest.raises(counting_module.DownSetBudgetError) as e:
+        monkeypatch.setattr(counting_module, "DOWN_SET_BUDGET", 6)
+        assert psi(frozenset(range(4)), k) == 4
+        monkeypatch.setattr(counting_module, "DOWN_SET_BUDGET", 3)
+        with pytest.raises(PermutationCapError) as e:
             psi(frozenset(range(4)), k)
-        assert (e.value.size, e.value.budget) == (4, 1)
+        assert (e.value.size, e.value.budget) == (4, 3)
 
-    def test_the_budget_sits_above_every_layer_the_default_cap_allows(self):
-        most = math.comb(DEFAULT_PERMUTATION_CAP, DEFAULT_PERMUTATION_CAP // 2)
-        assert counting_module.DOWN_SET_BUDGET > most
+    def test_the_budget_admits_every_part_of_twenty_vertices(self):
+        # a part of m vertices has at most 2^m down-sets, the empty one unbuilt
+        assert DOWN_SET_BUDGET >= 2**20
 
 
 class TestPhi:
@@ -340,11 +330,6 @@ class TestPhi:
     def test_rejects_claims_outside_host(self):
         with pytest.raises(ValueError):
             phi(frozenset({0, 1}), (), BackgroundKnowledge([(0, 9)]))
-
-    def test_rejects_a_negative_cap(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            phi(frozenset({0, 1}), (), BackgroundKnowledge.empty(), psi_cap=-1)
-        assert phi(frozenset({0, 1}), (), BackgroundKnowledge.empty(), psi_cap=0) == 2
 
     def test_cap_applies_to_claim_vertices_only(self):
         # a large host is fine while the claims touch few vertices
@@ -750,7 +735,7 @@ class TestIdentitiesAtScale:
         g = random_chordal(GenConfig(n=n, p_range=p_range, seed=seed))
         pos = {v: i for i, v in enumerate(lbfs_order(g))}
         k = BackgroundKnowledge((u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges())
-        res = count_session(MecInstance(PartiallyDirectedGraph(n, g.edges()), k), psi_cap=n)
+        res = count_session(MecInstance(PartiallyDirectedGraph(n, g.edges()), k))
         assert res.count == 1
 
     @pytest.mark.parametrize("n", [13, 20, 40])
@@ -780,12 +765,12 @@ class TestIdentitiesAtScale:
             return (u, v) if pos[u] < pos[v] else (v, u)
 
         def count(k):
-            return count_session(MecInstance(graph, BackgroundKnowledge(k)), psi_cap=n).count
+            return count_session(MecInstance(graph, BackgroundKnowledge(k))).count
 
         edges = g.edges()
         rng.shuffle(edges)
         claims = {along(u, v) for u, v in edges[:8]}
-        res = count_session(MecInstance(graph, BackgroundKnowledge(claims)), psi_cap=n)
+        res = count_session(MecInstance(graph, BackgroundKnowledge(claims)))
         base = res.count
         assert base > 0 and res.stats.phi_chain_evaluations > 0
         for u, v in edges[8:11]:
@@ -1060,25 +1045,6 @@ class TestCountSession:
         res = count_session(uccg_instance(g))
         assert res.count == 2 * 6
         assert [c.vertices for c in res.stats.components] == [2, 3]
-
-    def test_psi_cap_threads_through(self):
-        with pytest.raises(PermutationCapError):
-            count_session(
-                uccg_instance(complete(4), [(0, 1), (1, 2), (2, 3)]), psi_cap=3
-            )
-
-    def test_rejects_a_negative_cap(self):
-        p4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
-        for cap in (-1, -2):
-            with pytest.raises(ValueError, match="nonnegative"):
-                CountingSession([], 0, psi_cap=cap)
-            with pytest.raises(ValueError, match="nonnegative"):
-                count_session(uccg_instance(p4), psi_cap=cap)
-            with pytest.raises(ValueError, match="nonnegative"):
-                count_uccg(p4, BackgroundKnowledge.empty(), psi_cap=cap)
-        # a cap of 0 still counts whatever no claim touches
-        assert count_session(uccg_instance(p4), psi_cap=0).count == 4
-        assert count_uccg(p4, BackgroundKnowledge.empty(), psi_cap=0) == 4
 
     @pytest.mark.parametrize("seed", range(24))
     def test_stats_count_every_visited_vertex(self, seed, monkeypatch):

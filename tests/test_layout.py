@@ -30,9 +30,19 @@ MOVED = (
     "psi",
 )
 # Names deleted from the package: the chain type ``phi`` no longer needs,
-# the cap check that ``_PermCounter`` now makes alone, and the chain pass
-# that ``_group_table``'s link loop now makes.
-GONE = ("PrefixChain", "_checked_cap", "_prefix_chains")
+# the cap check that ``_PermCounter`` now makes alone, the chain pass that
+# ``_group_table``'s link loop now makes, and the vertex cap on permutation
+# counts with its option, its environment variable and the budget error
+# that ``PermutationCapError`` now covers.
+GONE = (
+    "PrefixChain",
+    "_checked_cap",
+    "_prefix_chains",
+    "DownSetBudgetError",
+    "DEFAULT_PERMUTATION_CAP",
+    "PSI_CAP_ENV",
+    "_default_psi_cap",
+)
 
 
 def imported_modules(name):
