@@ -185,6 +185,32 @@ class TestOracle:
 
 
 class TestPsiCap:
+    def complete4(self, tmp_path):
+        return write(
+            tmp_path,
+            "k4.json",
+            {
+                "format": FORMAT_NAME,
+                "version": FORMAT_VERSION,
+                "vertices": ["a", "b", "c", "d"],
+                "undirected_edges": [
+                    ["a", "b"], ["a", "c"], ["a", "d"],
+                    ["b", "c"], ["b", "d"], ["c", "d"],
+                ],
+                "knowledge": [["a", "b"], ["b", "c"], ["c", "d"]],
+            },
+        )
+
+    def test_flag_caps_permutation_counting(self, tmp_path, monkeypatch, capsys):
+        # the chain a < b < c < d is a claim tree, counted in closed form, so
+        # no down-set budget, not even an empty one, stops it
+        path = self.complete4(tmp_path)
+        assert main(["count", path]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "1"
+        monkeypatch.setattr(amocount.counting, "DOWN_SET_BUDGET", 0)
+        assert main(["count", path]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "1"
+
     def test_the_down_set_budget_exits_like_the_cap(self, tmp_path, monkeypatch, capsys):
         # a and b both precede c and d: the claims hold a cycle of links, so
         # the down-set DP counts them, and its layers hold 2, 1, 2 and 1
